@@ -12,16 +12,15 @@ with energies -2J cos(k_n).  Units are hbar = 1, so time is measured in
 States are plain complex vectors.  A position state stores the amplitude
 on site j at array index j-1; a spectral state stores the coefficient of
 mode n at index n-1.  The sine transform that maps between the two is
-real, symmetric and orthogonal, so the same matrix application performs
-both directions.  It is applied as a dense matrix-vector product, O(N^2)
-per call; chains used here stay small enough (N <~ 2000) that this is
-never the bottleneck.  The matrix is cached per chain length.
+real, symmetric and orthogonal, so one function performs both directions.
+It is the orthonormal DST-I, evaluated as an O(N log N) FFT of the odd
+extension of length 2(N+1) (Makhoul, IEEE TASSP 28, 27 (1980)); nothing
+is cached and no N x N matrix is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,15 +101,6 @@ def hamiltonian_matrix(chain: ChainSpec) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=16)
-def _sine_matrix(n_sites: int) -> np.ndarray:
-    L = n_sites + 1
-    n = np.arange(1, n_sites + 1)
-    s = np.sqrt(2.0 / L) * np.sin(np.outer(n, n) * (np.pi / L))
-    s.setflags(write=False)  # shared through the cache
-    return s
-
-
 def _as_state(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     arr = np.asarray(state, dtype=complex)
     if arr.ndim != 1 or arr.shape[0] != chain.n_sites:
@@ -124,14 +114,16 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     """Expand a position state over the standing-wave modes.
 
     coefficient_n = sqrt(2/(N+1)) sum_j sin(k_n j) amplitude_j.  The kernel
-    is self-inverse, so norms are preserved exactly up to rounding.
+    is self-inverse (it is also :func:`to_position`), so norms are preserved
+    up to rounding.  Entry n of the FFT of the odd extension [0, x, 0, -x
+    reversed] is -2i sum_j sin(k_n j) x_j.
     """
-    return _sine_matrix(chain.n_sites) @ _as_state(chain, state)
+    x = _as_state(chain, state)
+    odd = np.concatenate(([0], x, [0], -x[::-1]))
+    return np.fft.fft(odd)[1 : chain.n_sites + 1] * (1j / np.sqrt(2.0 * (chain.n_sites + 1)))
 
 
-def to_position(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_spectral` (same symmetric orthogonal kernel)."""
-    return _sine_matrix(chain.n_sites) @ _as_state(chain, state)
+to_position = to_spectral
 
 
 def reflect(chain: ChainSpec, state: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ class Scenario:
         if self.alpha is not None:
             return self.alpha
         if self.half_width is not None:
-            return 2.0 * np.sqrt(np.log(2.0)) / self.half_width
+            return GaussianSpec.from_half_width(0.0, self.half_width).alpha
         raise ConfigError(0, "initial needs half_width or alpha")
 
     def centers(self) -> tuple[float, ...]:

@@ -2,7 +2,7 @@
 
 Evolution is spectral: transform to the mode basis, multiply phases
 exp(-i e_n t), transform back.  This is exact to machine precision and
-costs one O(N^2) transform each way.
+costs one O(N log N) sine transform each way.
 
 For a low-energy packet the offset-removed spectrum is nearly quadratic,
 
@@ -52,10 +52,13 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
     return n**2 * revival_clock(chain).level_spacing
 
 
+def _evolve(chain: ChainSpec, state: np.ndarray, t: float, energies: np.ndarray) -> np.ndarray:
+    return to_position(chain, to_spectral(chain, state) * np.exp(-1j * energies * t))
+
+
 def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) applied to a position state; negative t evolves backward."""
-    coeff = to_spectral(chain, state)
-    return to_position(chain, coeff * np.exp(-1j * mode_energies(chain) * t))
+    return _evolve(chain, state, t, mode_energies(chain))
 
 
 def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float) -> np.ndarray:
@@ -65,8 +68,7 @@ def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float) -> np.ndarra
     dropped; magnitudes are unaffected and the phase conventions of the
     analytic revival formulas are defined with it removed.
     """
-    coeff = to_spectral(chain, state)
-    return to_position(chain, coeff * np.exp(-1j * quadratic_energies(chain) * t))
+    return _evolve(chain, state, t, quadratic_energies(chain))
 
 
 def profile(state: np.ndarray) -> np.ndarray:

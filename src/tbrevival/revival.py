@@ -38,7 +38,9 @@ import warnings
 
 import numpy as np
 
-from .chain import ChainSpec, mode_energies, mode_parities, mode_wavenumbers, to_position
+from .chain import (
+    ChainSpec, mode_energies, mode_parities, mode_wavenumbers, reflect, to_position, to_spectral,
+)
 from .propagator import quadratic_energies, revival_clock
 from .wavepacket import (
     SURVIVOR_TOLERANCE,
@@ -120,10 +122,11 @@ class GaussCoefficients:
 
 @lru_cache(maxsize=4096)
 def _gauss_values(p: int, q: int) -> np.ndarray:
+    """Inverse DFT of exp(-i pi (p n^2 mod 2q)/q), n < l; the integer residue keeps it exact."""
     l = fourier_period(q)
-    n = np.arange(l)
-    r = np.arange(l)[:, None]
-    values = np.exp(1j * (2.0 * np.pi * n * r / l - np.pi * p * n * n / q)).mean(axis=1)
+    n = np.arange(l, dtype=np.int64)
+    residue = (n * n % (2 * q)) * p % (2 * q)
+    values = np.fft.ifft(np.exp(-1j * np.pi * residue / q))
     values.setflags(write=False)  # shared through the cache
     return values
 
@@ -131,11 +134,11 @@ def _gauss_values(p: int, q: int) -> np.ndarray:
 def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     """b_r = (1/l) sum_n exp(i(2 pi n r/l - p n^2 pi/q)).
 
-    The summand is l-periodic in n, so the window origin is immaterial.
-    Satisfies b_r = b_{l-r} and |b_r|^2 in {0, 1/q}.
+    The summand is l-periodic in n, so the window origin is immaterial, and
+    depends on p only mod 2q.  Satisfies b_r = b_{l-r} and |b_r|^2 in {0, 1/q}.
     """
     p, q = fraction.numerator, fraction.denominator
-    return GaussCoefficients(period=fourier_period(q), values=_gauss_values(p, q))
+    return GaussCoefficients(period=fourier_period(q), values=_gauss_values(p % (2 * q), q))
 
 
 def fold_center(chain: ChainSpec, center: float) -> tuple[float, float, bool]:
@@ -273,8 +276,8 @@ def spmc_check(
     ``packet`` is a :class:`GaussianSpec` or a spectral coefficient vector.
     The support is the smallest set of modes carrying ``support_weight`` of
     the probability; over it the exact energies +2J are compared with the
-    quadratic ladder, and the mirror parity of each mode vector is checked
-    against (-1)^(n+1).
+    quadratic ladder, and reflection is checked to multiply each supported
+    coefficient by its mirror parity (-1)^(n+1).
     """
     if isinstance(packet, GaussianSpec):
         coeff = build_gwp_spectral(chain, packet)
@@ -290,17 +293,11 @@ def spmc_check(
     quad = quadratic_energies(chain)[support - 1]
     max_rel = float(np.max(np.abs(exact - quad) / quad))
 
-    # parity of each supported mode vector under site reversal
-    from .chain import _sine_matrix  # local import keeps cache shared
-
-    s = _sine_matrix(chain.n_sites)
-    expected = mode_parities(chain)[support - 1]
-    parity_ok = True
-    for idx, par in zip(support - 1, expected):
-        vec = s[idx]
-        if np.max(np.abs(vec[::-1] - par * vec)) > 1e-10:
-            parity_ok = False
-            break
+    supported = np.zeros(chain.n_sites, dtype=complex)
+    supported[support - 1] = coeff[support - 1]
+    mirrored = to_spectral(chain, reflect(chain, to_position(chain, supported)))
+    deviation = np.max(np.abs(mirrored - mode_parities(chain) * supported))
+    parity_ok = bool(deviation <= 1e-10 * np.max(np.abs(supported)))
 
     return SpmcReport(
         support=support,

@@ -70,11 +70,13 @@ def test_transform_unitarity_and_round_trip(n):
         np.testing.assert_allclose(back, state, atol=1e-10)
 
 
-def test_transform_matches_dst_oracle():
-    # independent route: orthonormal DST-I is the same kernel
-    chain = ChainSpec(n_sites=257)
+@pytest.mark.parametrize("n", [2, 257, 4000])
+def test_transform_matches_dst_oracle(n):
+    # independent route: orthonormal DST-I is the same kernel; the FFT
+    # lengths 2(N+1) are 6, 516 and 8002 = 2 * 4001 (a large prime factor)
+    chain = ChainSpec(n_sites=n)
     rng = np.random.default_rng(7)
-    state = random_state(rng, 257)
+    state = random_state(rng, n)
     ours = to_spectral(chain, state)
     reference = scipy.fft.dst(state, type=1, norm="ortho")
     np.testing.assert_allclose(ours, reference, atol=1e-12)

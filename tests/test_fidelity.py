@@ -164,6 +164,22 @@ def test_trace_profiles_and_runtime(chain500, packet50):
     assert (result.profiles[0.5] ** 2).sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_trace_memory_is_bounded():
+    # no T x N phase table: at N = 4000 a 2001-point grid would need 128 MB
+    import tracemalloc
+
+    chain = ChainSpec(n_sites=4000)
+    packet = build_gwp(chain, GaussianSpec(center=400.0, alpha=ALPHA24))
+    tracemalloc.start()
+    try:
+        result = trace(chain, packet, np.linspace(0.0, 0.5, 2001), TraceOptions(max_denominator=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.times) == 2001
+    assert peak < 64 * 2**20
+
+
 def test_find_peaks_monotone_is_empty():
     t = np.linspace(0, 1, 50)
     assert find_peaks(t, t**2, min_height=0.0, min_separation=0.01) == []

@@ -59,15 +59,22 @@ def test_gauss_coefficients_quarter_revival_interference_weights():
 
 
 def test_gauss_coefficient_identities_all_small_denominators():
+    import cmath
     from math import gcd
 
-    for q in range(1, 21):
-        for p in range(1, q + 1):
+    # q <= 40 and p <= 6q cover the labels of a six-revival grid (fig2a)
+    for q in range(1, 41):
+        for p in range(1, 6 * q + 1):
             if gcd(p, q) != 1:
                 continue
             coeffs = gauss_coefficients(RevivalFraction(p, q))
             l, b = coeffs.period, coeffs.values
             assert l == fourier_period(q)
+            # b_{l/2} = (1/l) sum_n exp(i pi (n q - p n^2)/q), residues in integers
+            exact = sum(
+                cmath.exp(1j * np.pi * ((n * q - p * n * n) % (2 * q)) / q) for n in range(l)
+            ) / l
+            assert abs(coeffs.mirror - exact) < 1e-12, f"{p}/{q}"
             probs = np.abs(b) ** 2
             nonzero = probs > 1e-13
             assert nonzero.sum() == q
