@@ -107,6 +107,8 @@ def _as_state(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state has shape {arr.shape}, expected ({chain.n_sites},) for this chain"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("state has non-finite (nan or inf) entries")
     return arr
 
 

@@ -42,20 +42,28 @@ class NoMirrorCloneError(ValueError):
     """The Gauss expansion has b_{l/2} = 0: no clone sits at the mirror position."""
 
 
-# Time points per block of _overlaps; bounds its phase table at _TIME_BLOCK x N entries.
+# Time points per block of _overlaps; bounds its phase table at _TIME_BLOCK x kept modes.
 _TIME_BLOCK = 128
+# Modes with w_n <= _CUT * sum(w) / N are left out of _overlaps' sum.
+_CUT = np.finfo(float).eps
 
 
 def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows A(t) and F(t): sum_n w_n exp(-i E_n t), w_n = |c_n|^2 and (-1)^(n+1) |c_n|^2.
 
     Reflection multiplies mode n by its parity (-1)^(n+1), hence the mirror
-    weights.  Unoptimised einsum stays off BLAS, whose second thread costs
-    CPU time here and saves no wall time.
+    weights.  The sum runs over the modes with w_n > eps * sum(w) / N only.
+    The N or fewer modes left out weigh at most eps * sum(w) in all, so A
+    and F move by at most that at every t.  A packet that touches the chain
+    edge keeps every mode; a contained one keeps its low-k band.
+    Unoptimised einsum stays off BLAS, whose second thread costs CPU time
+    here and saves no wall time.
     """
     w = np.abs(to_spectral(chain, initial)) ** 2
-    weights = np.stack((w, mode_parities(chain) * w))
-    energies = mode_energies(chain)
+    kept = w > _CUT * w.sum() / chain.n_sites
+    w = w[kept]
+    weights = np.stack((w, mode_parities(chain)[kept] * w))
+    energies = mode_energies(chain)[kept]
     out = np.empty((2, len(times)), dtype=complex)
     for s in range(0, len(times), _TIME_BLOCK):
         phases = np.exp(-1j * np.outer(times[s : s + _TIME_BLOCK], energies))
@@ -130,8 +138,9 @@ def trace(
     Grid entries may be floats or :class:`fractions.Fraction`.  For the
     fractional-fidelity normalisation every entry is labelled by its
     closest rational within ``options.max_denominator``; fractions that
-    already reduce below the cap pass through exactly.  Points are
-    independent, so results do not depend on evaluation order.
+    already reduce below the cap pass through exactly, and each distinct
+    label is expanded once.  Points are independent, so results do not
+    depend on evaluation order.
     """
     options = options or TraceOptions()
     if len(grid) == 0:
@@ -143,12 +152,17 @@ def trace(
     t_rev = revival_clock(chain).revival_time
     a_vals, f_vals = _overlaps(chain, initial, times * t_rev)
 
-    mirror_amp = np.empty(len(times))
-    for i, g in enumerate(grid):
-        fr = g if isinstance(g, Fraction) else Fraction(float(g))
-        fr = fr.limit_denominator(options.max_denominator)
-        coeffs = gauss_coefficients(RevivalFraction(fr.numerator, fr.denominator))
-        mirror_amp[i] = abs(coeffs.mirror)
+    labels = [
+        (g if isinstance(g, Fraction) else Fraction(float(g))).limit_denominator(
+            options.max_denominator
+        )
+        for g in grid
+    ]
+    amp = {
+        fr: abs(gauss_coefficients(RevivalFraction(fr.numerator, fr.denominator)).mirror)
+        for fr in set(labels)
+    }
+    mirror_amp = np.array([amp[fr] for fr in labels])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ff_sq = np.where(mirror_amp > 1e-12, (np.abs(f_vals) / mirror_amp) ** 2, np.nan)

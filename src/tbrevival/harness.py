@@ -235,8 +235,10 @@ def _str_list(value: str) -> tuple[str, ...]:
 
 def parse_config(text: str) -> Scenario:
     """Parse config text into a :class:`Scenario`; see the module docstring for the grammar."""
-    entries = _parse_entries(text)
+    return _scenario(_parse_entries(text))
 
+
+def _scenario(entries) -> Scenario:
     sites = _get(entries, "chain", "sites", int, required=True)
     hopping = _get(entries, "chain", "hopping", float, default=1.0)
 
@@ -327,8 +329,8 @@ class SweepSpec:
 
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a config that also carries a [sweep] section."""
-    base = parse_config(text)
     entries = _parse_entries(text)
+    base = _scenario(entries)
     if "sweep" not in entries:
         raise ConfigError(0, "missing [sweep] section")
     variable = _get(entries, "sweep", "variable", str.lower, required=True)

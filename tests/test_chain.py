@@ -4,13 +4,16 @@ import scipy.fft
 
 from tbrevival import (
     ChainSpec,
+    autocorrelation,
     eigen_modes,
+    evolve_exact,
     hamiltonian_matrix,
     inner_product,
     mode_energies,
     reflect,
     to_position,
     to_spectral,
+    trace,
 )
 
 from conftest import random_state
@@ -90,9 +93,27 @@ def test_transform_rejects_wrong_length():
         to_position(chain, np.ones(6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_is_rejected(bad):
+    chain = ChainSpec(n_sites=16)
+    state = np.zeros(16, dtype=complex)
+    state[3] = 1.0
+    state[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        to_spectral(chain, state)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_exact(chain, state, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        autocorrelation(chain, state, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        trace(chain, state, [0.25, 0.5])
+
+
 def test_zero_maps_to_zero():
     chain = ChainSpec(n_sites=9)
     np.testing.assert_array_equal(to_position(chain, np.zeros(9)), np.zeros(9))
+    # every mode weighs 0, so the fidelity mode sum keeps none and returns 0
+    assert autocorrelation(chain, np.zeros(9), 1.0) == 0
 
 
 @pytest.mark.parametrize("n", [2, 7, 50])

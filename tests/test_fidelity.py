@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from fractions import Fraction
 
 from tbrevival import (
@@ -18,6 +19,7 @@ from tbrevival import (
     fractional_fidelity,
     inner_product,
     mirror_fidelity,
+    revival_clock,
     trace,
 )
 
@@ -178,6 +180,62 @@ def test_trace_memory_is_bounded():
         tracemalloc.stop()
     assert len(result.times) == 2001
     assert peak < 64 * 2**20
+
+
+def _full_mode_sum(chain, state, times):
+    # every one of the N modes, weights from scipy's orthonormal DST-I
+    c = scipy.fft.dst(state, type=1, norm="ortho")
+    w = np.abs(c) ** 2
+    n = np.arange(1, chain.n_sites + 1)
+    energies = -2.0 * np.cos(n * np.pi / (chain.n_sites + 1))
+    phases = np.exp(-1j * np.outer(times, energies))
+    return phases @ w, phases @ (np.where(n % 2 == 1, 1, -1) * w)
+
+
+@pytest.mark.parametrize("case", ["contained4000", "edge500"])
+def test_trace_matches_sum_over_all_modes(case, chain500, packet50):
+    if case == "contained4000":
+        chain = ChainSpec(n_sites=4000)
+        packet = build_gwp(chain, GaussianSpec.from_half_width(center=800.0, half_width=24.0))
+    else:
+        chain, packet = chain500, packet50
+    w = np.abs(scipy.fft.dst(packet, type=1, norm="ortho")) ** 2
+    above = int((w > np.finfo(float).eps * w.sum() / chain.n_sites).sum())
+    # the contained packet leaves most modes below rounding, the edge one none
+    if case == "contained4000":
+        assert above < chain.n_sites // 4
+    else:
+        assert above == chain.n_sites
+    grid = np.concatenate((np.linspace(0.75, 0.85, 25), np.linspace(5.45, 5.55, 25)))
+    result = trace(chain, packet, grid, TraceOptions(max_denominator=8))
+    a, f = _full_mode_sum(chain, packet, grid * revival_clock(chain).revival_time)
+    np.testing.assert_allclose(result.abs_f_sq, np.abs(f) ** 2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(result.abs_a_sq, np.abs(a) ** 2, rtol=0, atol=1e-14)
+
+
+def test_trace_labels_each_distinct_fraction_once(monkeypatch, chain500, packet50):
+    import tbrevival.fidelity
+
+    calls = []
+    original = tbrevival.fidelity.gauss_coefficients
+
+    def counting(fraction):
+        calls.append(fraction)
+        return original(fraction)
+
+    monkeypatch.setattr(tbrevival.fidelity, "gauss_coefficients", counting)
+    grid = [Fraction(k, 2000) for k in range(2001)]
+    result = trace(chain500, packet50, grid, TraceOptions(max_denominator=128))
+    labels = [g.limit_denominator(128) for g in grid]
+    distinct = set(labels)
+    assert len(calls) == len(distinct) < len(grid)
+    # each point still gets its own label's mirror weight
+    mirror = np.array(
+        [abs(original(RevivalFraction(fr.numerator, fr.denominator)).mirror) for fr in labels]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where(mirror > 1e-12, result.abs_f_sq / mirror**2, np.nan)
+    np.testing.assert_allclose(result.abs_ff_sq, expected, rtol=1e-12, atol=0)
 
 
 def test_find_peaks_monotone_is_empty():
