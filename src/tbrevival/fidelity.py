@@ -3,11 +3,13 @@
 The three diagnostics: autocorrelation A(t) = <initial|evolved(t)>, mirror
 fidelity F(t) = <mirrored initial|evolved(t)>, and fractional fidelity
 |F_f| = |F| / |b_{l/2}|, which rescales F by the Gauss-sum weight of the
-mirror-image clone.  A faithful partial clone scores 1 only where no
-folded clone also lands on the mirror site.  Where folded clones pile up
-there (commensurate centers) the predicted mirror amplitude differs from
-|b_{l/2}| and the value misses 1 in either direction; at fractions with
-b_{l/2} = 0 it is undefined even when a folded clone sits at the mirror.
+mirror-image clone at t = (p/q) t_rev.  That weight has the closed form
+|b_{l/2}| = 1/sqrt(q) for odd p and 0 for even p, so no Gauss sum is
+expanded here.  A faithful partial clone scores 1 only where no folded
+clone also lands on the mirror site.  Where folded clones pile up there
+(commensurate centers) the predicted mirror amplitude differs from
+|b_{l/2}| and the value misses 1 in either direction; at even p it is
+undefined even when a folded clone sits at the mirror.
 
 Fidelities are complex for programmatic phase checks; traces record the
 squared magnitudes that get plotted.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .chain import ChainSpec, mode_energies, mode_parities, to_spectral
 from .propagator import evolve_exact, revival_clock
-from .revival import RevivalFraction, gauss_coefficients
+from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
 
 __all__ = [
@@ -39,7 +41,7 @@ __all__ = [
 
 
 class NoMirrorCloneError(ValueError):
-    """The Gauss expansion has b_{l/2} = 0: no clone sits at the mirror position."""
+    """p is even at t = (p/q) t_rev, so b_{l/2} = 0: no clone sits at the mirror position."""
 
 
 # Time points per block of _overlaps; bounds its phase table at _TIME_BLOCK x kept modes.
@@ -82,19 +84,18 @@ def mirror_fidelity(chain: ChainSpec, spec: GaussianSpec, t: float) -> complex:
 
 
 def fractional_fidelity(chain: ChainSpec, spec: GaussianSpec, fraction: RevivalFraction) -> float:
-    """|F(tau)| / |b_{l/2}| at tau = (p/q) t_rev.
+    """|F(tau)| / |b_{l/2}| = |F(tau)| sqrt(q) at tau = (p/q) t_rev.
 
-    Raises :class:`NoMirrorCloneError` when b_{l/2} = 0 (no mirror clone is
-    predicted at this fraction).  Values above 1 + 1e-6 are reported with a
-    warning: they flag instants where folded clones pile onto the mirror
-    position and the single-coefficient normalisation underestimates the
-    predicted amplitude there.
+    Raises :class:`NoMirrorCloneError` when p is even, where b_{l/2} = 0 (no
+    mirror clone is predicted at this fraction).  Values above 1 + 1e-6 are
+    reported with a warning: they flag instants where folded clones pile
+    onto the mirror position and the single-coefficient normalisation
+    underestimates the predicted amplitude there.
     """
-    coeffs = gauss_coefficients(fraction)
-    mirror_amp = abs(coeffs.mirror)
-    if mirror_amp < 1e-12:
+    p, q = fraction.numerator, fraction.denominator
+    if p % 2 == 0:
         raise NoMirrorCloneError(f"no mirror clone at fraction {fraction}")
-    value = abs(mirror_fidelity(chain, spec, fraction.time(chain))) / mirror_amp
+    value = abs(mirror_fidelity(chain, spec, fraction.time(chain))) * np.sqrt(q)
     if value > 1 + 1e-6:
         warnings.warn(
             f"fractional fidelity {value:.4f} exceeds 1 at {fraction}: "
@@ -117,7 +118,7 @@ class FidelityTrace:
     """Sampled |F|^2, |F_f|^2, |A|^2 over a grid of times in units of t_rev.
 
     ``abs_ff_sq`` is NaN where no mirror clone exists for the grid point's
-    rational label (including t = 0).
+    rational label p/q, i.e. where p is even (including t = 0).
     """
 
     times: np.ndarray
@@ -138,9 +139,9 @@ def trace(
     Grid entries may be floats or :class:`fractions.Fraction`.  For the
     fractional-fidelity normalisation every entry is labelled by its
     closest rational within ``options.max_denominator``; fractions that
-    already reduce below the cap pass through exactly, and each distinct
-    label is expanded once.  Points are independent, so results do not
-    depend on evaluation order.
+    already reduce below the cap pass through exactly.  A label p/q with odd
+    p gives |F_f|^2 = q |F|^2; even p gives NaN.  Points are independent,
+    so results do not depend on evaluation order.
     """
     options = options or TraceOptions()
     if len(grid) == 0:
@@ -158,14 +159,8 @@ def trace(
         )
         for g in grid
     ]
-    amp = {
-        fr: abs(gauss_coefficients(RevivalFraction(fr.numerator, fr.denominator)).mirror)
-        for fr in set(labels)
-    }
-    mirror_amp = np.array([amp[fr] for fr in labels])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ff_sq = np.where(mirror_amp > 1e-12, (np.abs(f_vals) / mirror_amp) ** 2, np.nan)
+    p, q = np.array([(fr.numerator, fr.denominator) for fr in labels]).T
+    abs_f_sq = np.abs(f_vals) ** 2
 
     profiles = {}
     for pt in options.profile_times:
@@ -173,8 +168,8 @@ def trace(
 
     return FidelityTrace(
         times=times,
-        abs_f_sq=np.abs(f_vals) ** 2,
-        abs_ff_sq=ff_sq,
+        abs_f_sq=abs_f_sq,
+        abs_ff_sq=np.where(p % 2 == 1, abs_f_sq * q, np.nan),
         abs_a_sq=np.abs(a_vals) ** 2,
         profiles=profiles,
     )

@@ -48,8 +48,10 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec
-from .fidelity import FidelityTrace, TraceOptions, trace
-from .propagator import evolve_exact, profile, revival_clock
+from .fidelity import (
+    FidelityTrace, TraceOptions, autocorrelation, fractional_fidelity, mirror_fidelity, trace,
+)
+from .propagator import evolve_exact, revival_clock
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, SuperpositionSpec, build_gwp, build_superposition
 
@@ -169,9 +171,12 @@ def resolve_center(expr: str, sites: int, convention: str = "plus-one") -> float
         base = sites + 1 if convention == "plus-one" else sites
         return a * base / int(m.group(2))
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse center expression {expr!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"center {expr!r} is not finite")
+    return value
 
 
 _SECTIONS = {
@@ -225,8 +230,15 @@ def _get(entries, section, key, convert, default=None, required=False):
         raise ConfigError(lineno, f"bad value for {key!r}: {exc}") from None
 
 
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 def _float_list(value: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in value.split(",") if v.strip())
+    return tuple(_finite_float(v.strip()) for v in value.split(",") if v.strip())
 
 
 def _str_list(value: str) -> tuple[str, ...]:
@@ -240,7 +252,7 @@ def parse_config(text: str) -> Scenario:
 
 def _scenario(entries) -> Scenario:
     sites = _get(entries, "chain", "sites", int, required=True)
-    hopping = _get(entries, "chain", "hopping", float, default=1.0)
+    hopping = _get(entries, "chain", "hopping", _finite_float, default=1.0)
 
     kind = _get(entries, "initial", "kind", str.lower, default="gaussian")
     if kind not in ("gaussian", "superposition"):
@@ -260,8 +272,8 @@ def _scenario(entries) -> Scenario:
     if weights is not None and len(weights) != len(center_exprs):
         _, lineno = entries["initial"]["weights"]
         raise ConfigError(lineno, "weights must match the number of centers")
-    half_width = _get(entries, "initial", "half_width", float)
-    alpha = _get(entries, "initial", "alpha", float)
+    half_width = _get(entries, "initial", "half_width", _finite_float)
+    alpha = _get(entries, "initial", "alpha", _finite_float)
     if (half_width is None) == (alpha is None):
         raise ConfigError(0, "initial needs exactly one of half_width or alpha")
     convention = _get(entries, "initial", "convention", str.lower, default="plus-one")
@@ -272,10 +284,11 @@ def _scenario(entries) -> Scenario:
         try:
             resolve_center(expr, sites, convention)
         except ValueError as exc:
-            raise ConfigError(0, str(exc)) from None
+            _, lineno = entries["initial"]["center" if kind == "gaussian" else "centers"]
+            raise ConfigError(lineno, str(exc)) from None
 
-    time_start = _get(entries, "time", "start", float)
-    time_stop = _get(entries, "time", "stop", float)
+    time_start = _get(entries, "time", "start", _finite_float)
+    time_stop = _get(entries, "time", "stop", _finite_float)
     time_points = _get(entries, "time", "points", int)
     time_denominator = _get(entries, "time", "denominator", int)
     if (time_start is None) != (time_stop is None):
@@ -393,27 +406,16 @@ def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
     written = []
     grid = scenario.grid()
     if grid is not None:
-        options = TraceOptions(
-            max_denominator=scenario.fraction_cap, profile_times=scenario.profiles_at
-        )
-        result = trace(chain, state, grid, options)
+        result = trace(chain, state, grid, TraceOptions(max_denominator=scenario.fraction_cap))
         written.append(write_trace_csv(out / f"{scenario.prefix}_trace.csv", result))
-        for pt in scenario.profiles_at:
-            written.append(
-                write_profile_csv(
-                    out / f"{scenario.prefix}_profile_t{_format_float(float(pt))}.csv",
-                    result.profiles[float(pt)],
-                )
+    t_rev = revival_clock(chain).revival_time
+    for pt in scenario.profiles_at:
+        written.append(
+            write_profile_csv(
+                out / f"{scenario.prefix}_profile_t{_format_float(float(pt))}.csv",
+                evolve_exact(chain, state, float(pt) * t_rev),
             )
-    else:
-        t_rev = revival_clock(chain).revival_time
-        for pt in scenario.profiles_at:
-            amps = profile(evolve_exact(chain, state, float(pt) * t_rev))
-            written.append(
-                write_profile_csv(
-                    out / f"{scenario.prefix}_profile_t{_format_float(float(pt))}.csv", amps
-                )
-            )
+        )
     return written
 
 
@@ -427,8 +429,6 @@ class SweepResult:
 
 
 def _sweep_point(spec: SweepSpec, value: float) -> float:
-    from .fidelity import autocorrelation, fractional_fidelity, mirror_fidelity
-
     base = spec.base
     if spec.variable == "half_width":
         scenario = replace(base, half_width=float(value), alpha=None)

@@ -53,6 +53,8 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
 
 
 def _evolve(chain: ChainSpec, state: np.ndarray, t: float, energies: np.ndarray) -> np.ndarray:
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     return to_position(chain, to_spectral(chain, state) * np.exp(-1j * energies * t))
 
 

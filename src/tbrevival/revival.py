@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 import warnings
 
@@ -120,25 +119,20 @@ class GaussCoefficients:
         return complex(self.values[self.period // 2])
 
 
-@lru_cache(maxsize=4096)
-def _gauss_values(p: int, q: int) -> np.ndarray:
-    """Inverse DFT of exp(-i pi (p n^2 mod 2q)/q), n < l; the integer residue keeps it exact."""
-    l = fourier_period(q)
-    n = np.arange(l, dtype=np.int64)
-    residue = (n * n % (2 * q)) * p % (2 * q)
-    values = np.fft.ifft(np.exp(-1j * np.pi * residue / q))
-    values.setflags(write=False)  # shared through the cache
-    return values
-
-
 def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     """b_r = (1/l) sum_n exp(i(2 pi n r/l - p n^2 pi/q)).
 
     The summand is l-periodic in n, so the window origin is immaterial, and
-    depends on p only mod 2q.  Satisfies b_r = b_{l-r} and |b_r|^2 in {0, 1/q}.
+    depends on p only mod 2q; the residue (n^2 mod 2q) p mod 2q is taken in
+    integers, which keeps the inverse DFT exact.  Satisfies b_r = b_{l-r} and
+    |b_r|^2 in {0, 1/q}; the mirror weight |b_{l/2}| is 1/sqrt(q) for odd p
+    and 0 for even p.
     """
     p, q = fraction.numerator, fraction.denominator
-    return GaussCoefficients(period=fourier_period(q), values=_gauss_values(p % (2 * q), q))
+    l = fourier_period(q)
+    n = np.arange(l, dtype=np.int64)
+    residue = (n * n % (2 * q)) * (p % (2 * q)) % (2 * q)
+    return GaussCoefficients(period=l, values=np.fft.ifft(np.exp(-1j * np.pi * residue / q)))
 
 
 def fold_center(chain: ChainSpec, center: float) -> tuple[float, float, bool]:

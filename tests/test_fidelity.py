@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from tbrevival import (
     ChainSpec,
+    GaussCoefficients,
     GaussianSpec,
     NoMirrorCloneError,
     RevivalFraction,
@@ -17,6 +18,7 @@ from tbrevival import (
     evolve_quadratic,
     find_peaks,
     fractional_fidelity,
+    gauss_coefficients,
     inner_product,
     mirror_fidelity,
     revival_clock,
@@ -213,29 +215,35 @@ def test_trace_matches_sum_over_all_modes(case, chain500, packet50):
     np.testing.assert_allclose(result.abs_a_sq, np.abs(a) ** 2, rtol=0, atol=1e-14)
 
 
-def test_trace_labels_each_distinct_fraction_once(monkeypatch, chain500, packet50):
-    import tbrevival.fidelity
+def test_trace_expands_no_gauss_sums(monkeypatch, chain500, packet50):
+    # the mirror weight is 1/sqrt(q) for odd p and 0 for even p, so the
+    # trace needs no Gauss expansion; counting constructions of the result
+    # type catches gauss_coefficients whichever way it is imported
+    constructed = []
+    init = GaussCoefficients.__init__
 
-    calls = []
-    original = tbrevival.fidelity.gauss_coefficients
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args or kwargs)
+        init(self, *args, **kwargs)
 
-    def counting(fraction):
-        calls.append(fraction)
-        return original(fraction)
-
-    monkeypatch.setattr(tbrevival.fidelity, "gauss_coefficients", counting)
-    grid = [Fraction(k, 2000) for k in range(2001)]
+    monkeypatch.setattr(GaussCoefficients, "__init__", counting_init)
+    grid = [Fraction(k, 1000) for k in range(6001)]  # fig2a: labels with p up to 6q
     result = trace(chain500, packet50, grid, TraceOptions(max_denominator=128))
+    assert len(constructed) == 0
+    monkeypatch.undo()
+
+    # each point still gets its own label's mirror weight from the full expansion
     labels = [g.limit_denominator(128) for g in grid]
-    distinct = set(labels)
-    assert len(calls) == len(distinct) < len(grid)
-    # each point still gets its own label's mirror weight
-    mirror = np.array(
-        [abs(original(RevivalFraction(fr.numerator, fr.denominator)).mirror) for fr in labels]
+    mirror = np.array([
+        abs(gauss_coefficients(RevivalFraction(fr.numerator, fr.denominator)).mirror)
+        for fr in labels
+    ])
+    defined = mirror >= 1e-12
+    np.testing.assert_array_equal(np.isnan(result.abs_ff_sq), ~defined)
+    np.testing.assert_allclose(
+        result.abs_ff_sq[defined], result.abs_f_sq[defined] / mirror[defined] ** 2,
+        rtol=1e-12, atol=0,
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = np.where(mirror > 1e-12, result.abs_f_sq / mirror**2, np.nan)
-    np.testing.assert_allclose(result.abs_ff_sq, expected, rtol=1e-12, atol=0)
 
 
 def test_find_peaks_monotone_is_empty():

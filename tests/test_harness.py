@@ -33,6 +33,8 @@ def test_resolve_center_expressions():
     assert resolve_center("125.25", 500) == pytest.approx(125.25)
     with pytest.raises(ValueError):
         resolve_center("banana", 500)
+    with pytest.raises(ValueError, match="not finite"):
+        resolve_center("inf", 500)
 
 
 def test_parse_config_happy_path():
@@ -59,6 +61,26 @@ def test_parse_config_line_numbered_errors(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_config(text)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [
+        ("hopping = 1.0", "hopping = nan"),
+        ("center = 20", "center = nan"),
+        ("half_width = 12", "half_width = inf"),
+        ("stop = 0.5", "stop = nan"),
+        ("profiles_at = 0.25", "profiles_at = 0.25, inf"),
+    ],
+)
+def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, replacement):
+    text = GOOD_CONFIG.replace(line, replacement)
+    with pytest.raises(ConfigError, match="not finite") as err:
+        parse_config(text)
+    assert err.value.line == GOOD_CONFIG.splitlines().index(line) + 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_parse_config_duplicate_key():

@@ -118,3 +118,13 @@ def test_profile_basics(chain500, packet50):
     p = profile(packet50)
     assert (p**2).sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(profile(np.exp(1j * 0.7) * packet50), p, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_time_is_rejected(t):
+    chain = ChainSpec(8)
+    # the time is at fault, not the state
+    with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+        evolve_exact(chain, np.ones(8), t)
+    with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+        evolve_quadratic(chain, np.ones(8), t)

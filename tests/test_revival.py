@@ -75,6 +75,8 @@ def test_gauss_coefficient_identities_all_small_denominators():
                 cmath.exp(1j * np.pi * ((n * q - p * n * n) % (2 * q)) / q) for n in range(l)
             ) / l
             assert abs(coeffs.mirror - exact) < 1e-12, f"{p}/{q}"
+            # closed form of the mirror weight: 1/sqrt(q) for odd p, 0 for even p
+            assert abs(abs(coeffs.mirror) - (p % 2) / np.sqrt(q)) < 1e-12, f"{p}/{q}"
             probs = np.abs(b) ** 2
             nonzero = probs > 1e-13
             assert nonzero.sum() == q
