@@ -161,15 +161,13 @@ _CENTER_PLUS_RE = re.compile(r"^(\d*)\(N\+1\)/(\d+)$")
 def resolve_center(expr: str, sites: int, convention: str = "plus-one") -> float:
     """Resolve a center expression to a site coordinate for a given chain size."""
     text = expr.replace(" ", "")
-    m = _CENTER_PLUS_RE.match(text)
+    m = _CENTER_PLUS_RE.match(text) or _CENTER_RE.match(text)
     if m:
-        a = int(m.group(1) or 1)
-        return a * (sites + 1) / int(m.group(2))
-    m = _CENTER_RE.match(text)
-    if m:
-        a = int(m.group(1) or 1)
-        base = sites + 1 if convention == "plus-one" else sites
-        return a * base / int(m.group(2))
+        a, divisor = int(m.group(1) or 1), int(m.group(2))
+        if divisor == 0:
+            raise ValueError(f"center {expr!r} divides by zero")
+        plus_one = m.re is _CENTER_PLUS_RE or convention == "plus-one"
+        return a * (sites + 1 if plus_one else sites) / divisor
     try:
         value = float(text)
     except ValueError:
@@ -237,6 +235,13 @@ def _finite_float(value: str) -> float:
     return number
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return number
+
+
 def _float_list(value: str) -> tuple[float, ...]:
     return tuple(_finite_float(v.strip()) for v in value.split(",") if v.strip())
 
@@ -289,8 +294,8 @@ def _scenario(entries) -> Scenario:
 
     time_start = _get(entries, "time", "start", _finite_float)
     time_stop = _get(entries, "time", "stop", _finite_float)
-    time_points = _get(entries, "time", "points", int)
-    time_denominator = _get(entries, "time", "denominator", int)
+    time_points = _get(entries, "time", "points", _positive_int)
+    time_denominator = _get(entries, "time", "denominator", _positive_int)
     if (time_start is None) != (time_stop is None):
         raise ConfigError(0, "time needs both start and stop")
     if time_start is not None and time_points is None and time_denominator is None:
@@ -298,7 +303,7 @@ def _scenario(entries) -> Scenario:
     if time_points is not None and time_denominator is not None:
         raise ConfigError(0, "time takes points or denominator, not both")
 
-    fraction_cap = _get(entries, "metrics", "fraction_cap", int, default=128)
+    fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
     profiles_at = _get(entries, "metrics", "profiles_at", _float_list, default=())
     prefix = _get(entries, "output", "prefix", str, default="run")
 
@@ -363,33 +368,28 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError(0, str(exc)) from None
 
 
-def _format_float(x: float) -> str:
-    return "nan" if isinstance(x, float) and np.isnan(x) else f"{x:.12g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> Path:
+def _write_csv(path: Path, header: str, row_format: str, rows) -> Path:
+    # "%.12g" writes nan, inf and -0 as Python's str-format does
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.write(header + "\n")
+        fh.write("".join(row_format % row for row in rows))
     return path
 
 
 def write_trace_csv(path: Path, result: FidelityTrace) -> Path:
-    rows = (
-        (float(t), float(f), float(ff), float(a))
-        for t, f, ff, a in zip(
-            result.times, result.abs_f_sq, result.abs_ff_sq, result.abs_a_sq
-        )
+    table = np.column_stack((result.times, result.abs_f_sq, result.abs_ff_sq, result.abs_a_sq))
+    return _write_csv(
+        path,
+        "t_over_trev,abs_F_sq,abs_Ff_sq,abs_A_sq",
+        "%.12g,%.12g,%.12g,%.12g\n",
+        map(tuple, table.tolist()),
     )
-    return _write_csv(path, ["t_over_trev", "abs_F_sq", "abs_Ff_sq", "abs_A_sq"], rows)
 
 
 def write_profile_csv(path: Path, amplitudes: np.ndarray) -> Path:
-    rows = ((site, float(amp)) for site, amp in enumerate(np.abs(amplitudes), start=1))
-    return _write_csv(path, ["site", "abs_amp"], rows)
+    rows = enumerate(np.abs(amplitudes).tolist(), start=1)
+    return _write_csv(path, "site,abs_amp", "%d,%.12g\n", rows)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
@@ -412,7 +412,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
     for pt in scenario.profiles_at:
         written.append(
             write_profile_csv(
-                out / f"{scenario.prefix}_profile_t{_format_float(float(pt))}.csv",
+                out / f"{scenario.prefix}_profile_t{float(pt):.12g}.csv",
                 evolve_exact(chain, state, float(pt) * t_rev),
             )
         )
@@ -457,7 +457,8 @@ def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
     if out_dir is not None:
         path = _write_csv(
             Path(out_dir) / f"{spec.base.prefix}_sweep.csv",
-            ["variable", "value", "metric"],
+            "variable,value,metric",
+            "%s,%.12g,%.12g\n",
             ((spec.variable, v, m) for v, m in rows),
         )
     return SweepResult(

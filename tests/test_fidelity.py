@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from tbrevival import (
     ChainSpec,
@@ -24,6 +25,7 @@ from tbrevival import (
     revival_clock,
     trace,
 )
+from tbrevival.fidelity import _labels
 
 ALPHA24 = 2 * np.sqrt(np.log(2)) / 24
 
@@ -134,6 +136,8 @@ def test_trace_validates_grid(chain500, packet50):
         trace(chain500, packet50, [0.2, 0.2, 0.3])
     with pytest.raises(ValueError):
         trace(chain500, packet50, [0.3, 0.1])
+    with pytest.raises(ValueError, match="non-finite"):
+        trace(chain500, packet50, [0.0, float("inf")])
 
 
 def test_trace_no_mirror_clone_is_nan(chain500, packet50):
@@ -213,6 +217,119 @@ def test_trace_matches_sum_over_all_modes(case, chain500, packet50):
     a, f = _full_mode_sum(chain, packet, grid * revival_clock(chain).revival_time)
     np.testing.assert_allclose(result.abs_f_sq, np.abs(f) ** 2, rtol=0, atol=1e-14)
     np.testing.assert_allclose(result.abs_a_sq, np.abs(a) ** 2, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "case, lo, hi", [("edge500", 5.45, 5.55), ("contained4000", 0.75, 0.85)]
+)
+def test_uniform_trace_matches_sum_over_all_modes(case, lo, hi, chain500, packet50):
+    # a uniform grid goes through the anchor x step tables
+    if case == "contained4000":
+        chain = ChainSpec(n_sites=4000)
+        packet = build_gwp(chain, GaussianSpec.from_half_width(center=800.0, half_width=24.0))
+    else:
+        chain, packet = chain500, packet50
+    grid = np.linspace(lo, hi, 401)
+    result = trace(chain, packet, grid, TraceOptions(max_denominator=8))
+    a, f = _full_mode_sum(chain, packet, grid * revival_clock(chain).revival_time)
+    np.testing.assert_allclose(result.abs_f_sq, np.abs(f) ** 2, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.abs_a_sq, np.abs(a) ** 2, rtol=0, atol=1e-10)
+
+
+def test_trace_memory_is_bounded_in_chain_length():
+    # fig2a geometry at N = 1e5: an edge packet keeps every mode
+    import tracemalloc
+
+    chain = ChainSpec(n_sites=100_000)
+    packet = build_gwp(chain, GaussianSpec.from_half_width(center=10_000.0, half_width=4800.0))
+    tracemalloc.start()
+    try:
+        result = trace(chain, packet, np.linspace(0.0, 1.0, 101))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(result.abs_f_sq))
+    assert peak < 64 * 2**20
+
+
+def _limit_denominator(grid, cap):
+    labels = [
+        (g if isinstance(g, Fraction) else Fraction(float(g))).limit_denominator(cap)
+        for g in grid
+    ]
+    return [fr.numerator for fr in labels], [fr.denominator for fr in labels]
+
+
+def _bulk_labels(grid, cap):
+    p, q = _labels(grid, np.array([float(g) for g in grid]), cap)
+    return p.tolist(), q.tolist()
+
+
+LABEL_GRIDS = {
+    "fig2a": [Fraction(k, 1000) for k in range(6001)],
+    "k/2000": [Fraction(k, 2000) for k in range(2001)],
+    "k/840": [Fraction(k, 840) for k in range(841)],
+    "linspace": np.linspace(0.0, 6.0, 20001),
+    "random": np.sort(np.random.default_rng(7).uniform(0.0, 10.0, 20000)),
+    # the long-chain benchmark windows of seeds 1-5: 1/2, 3/4, 2/3 +- 0.05
+    **{
+        f"window{p}/{q}": np.linspace(p / q - 0.05, p / q + 0.05, 8001)
+        for p, q in ((1, 2), (3, 4), (2, 3))
+    },
+}
+
+
+@pytest.mark.parametrize("name", LABEL_GRIDS)
+def test_bulk_labels_equal_limit_denominator(name):
+    grid = LABEL_GRIDS[name]
+    assert _bulk_labels(grid, 128) == _limit_denominator(grid, 128)
+
+
+def test_labels_beyond_the_farey_table_use_limit_denominator():
+    grid = np.linspace(0.0, 2.0, 41)
+    assert _bulk_labels(grid, 5000) == _limit_denominator(grid, 5000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.floats(-10, 10, allow_nan=False), min_size=1, max_size=40, unique=True
+        ).map(sorted),
+        st.lists(
+            st.fractions(-10, 10, max_denominator=60), min_size=1, max_size=40, unique=True
+        ).map(sorted),
+    ),
+    st.integers(1, 200),
+)
+def test_property_bulk_labels_equal_limit_denominator(grid, cap):
+    assert _bulk_labels(grid, cap) == _limit_denominator(grid, cap)
+
+
+@st.composite
+def farey_midpoints(draw):
+    # a/b < c/d with bc - ad = 1 and b + d > cap are neighbours in F_cap
+    cap = draw(st.integers(1, 200))
+    grid = set()
+    for _ in range(draw(st.integers(1, 10))):
+        b = draw(st.integers(1, cap))
+        d = draw(st.integers(cap + 1 - b, cap).filter(lambda d: np.gcd(b, d) == 1))
+        a = -pow(d, -1, b) % b
+        c = (1 + a * d) // b
+        grid.add(draw(st.integers(-10, 9)) + (Fraction(a, b) + Fraction(c, d)) / 2)
+    return cap, sorted(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(farey_midpoints())
+def test_property_labels_break_ties_like_limit_denominator(case):
+    cap, grid = case
+    assert _bulk_labels(grid, cap) == _limit_denominator(grid, cap)
+
+
+def test_trace_rejects_cap_below_one(chain500, packet50):
+    with pytest.raises(ValueError, match="max_denominator"):
+        trace(chain500, packet50, [0.5], TraceOptions(max_denominator=0))
 
 
 def test_trace_expands_no_gauss_sums(monkeypatch, chain500, packet50):

@@ -83,6 +83,27 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
     assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "line, replacement, fragment",
+    [
+        ("center = 20", "center = N/0", "divides by zero"),
+        ("points = 21", "denominator = 0", "not a positive integer"),
+        ("points = 21", "points = -3", "not a positive integer"),
+        ("profiles_at = 0.25", "fraction_cap = 0", "not a positive integer"),
+    ],
+)
+def test_out_of_range_integers_are_line_numbered_config_errors(
+    tmp_path, line, replacement, fragment
+):
+    text = GOOD_CONFIG.replace(line, replacement)
+    with pytest.raises(ConfigError, match=fragment) as err:
+        parse_config(text)
+    assert err.value.line == GOOD_CONFIG.splitlines().index(line) + 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 def test_parse_config_duplicate_key():
     text = GOOD_CONFIG.replace("hopping = 1.0", "sites = 7")
     with pytest.raises(ConfigError, match="duplicate"):
