@@ -13,9 +13,10 @@ States are plain complex vectors.  A position state stores the amplitude
 on site j at array index j-1; a spectral state stores the coefficient of
 mode n at index n-1.  The sine transform that maps between the two is
 real, symmetric and orthogonal, so one function performs both directions.
-It is the orthonormal DST-I, evaluated as an O(N log N) FFT of the odd
-extension of length 2(N+1) (Makhoul, IEEE TASSP 28, 27 (1980)); nothing
-is cached and no N x N matrix is formed.
+It is the orthonormal DST-I, evaluated in O(N log N) through one complex
+FFT of length N+1 of an auxiliary array, not of the length-2(N+1) odd
+extension (Makhoul, IEEE TASSP 28, 27 (1980); Numerical Recipes, section
+12.3, ``sinft``); nothing is cached and no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if int(self.n_sites) != self.n_sites or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
-        if not self.hopping > 0:
-            raise ValueError(f"hopping must be positive, got {self.hopping!r}")
+        # the band edge 2J and the revival time (N+1)^2/(pi J) must be finite floats
+        if not (self.hopping > 0 and np.isfinite(
+            [2.0 * self.hopping, (self.n_sites + 1) ** 2 / (np.pi * self.hopping)]
+        ).all()):
+            raise ValueError(f"hopping must be positive with a finite band and revival time, "
+                             f"got {self.hopping!r}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
         object.__setattr__(self, "hopping", float(self.hopping))
 
@@ -117,12 +122,35 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
 
     coefficient_n = sqrt(2/(N+1)) sum_j sin(k_n j) amplitude_j.  The kernel
     is self-inverse (it is also :func:`to_position`), so norms are preserved
-    up to rounding.  Entry n of the FFT of the odd extension [0, x, 0, -x
-    reversed] is -2i sum_j sin(k_n j) x_j.
+    up to rounding.  With M = N+1 and x_0 = x_M = 0, the auxiliary array
+    y_j = sin(pi j/M)(x_j + x_{M-j}) + (x_j - x_{M-j})/2, j = 0..M-1, has the
+    length-M FFT Y with X_{2k} = (i/2)(Y_k - Y_{-k}) and
+    X_{2k+1} - X_{2k-1} = (Y_k + Y_{-k})/2, where X_{-1} = -X_1, so the odd
+    coefficients are a running sum (Numerical Recipes, ``sinft``).  Every step
+    is complex-linear, so complex states take the same path as real ones.
     """
     x = _as_state(chain, state)
-    odd = np.concatenate(([0], x, [0], -x[::-1]))
-    return np.fft.fft(odd)[1 : chain.n_sites + 1] * (1j / np.sqrt(2.0 * (chain.n_sites + 1)))
+    n = chain.n_sites
+    m, c = n + 1, (n + 1) // 2
+    # y_j and y_{M-j} (j = 1..c; j = c is the middle site when N is odd) share
+    # sin(pi j/M), x_j + x_{M-j} and x_j - x_{M-j}.  Folded into them: the
+    # normalisation sqrt(2/M), the factors 1/2, and the i of the even modes
+    # on the antisymmetric part, whose transform is odd in k and so drops
+    # out of Y_k + Y_{-k}.
+    scale = np.sqrt(0.5 / m)
+    lo, hi = x[:c], x[::-1][:c]
+    sym = (scale * np.sin(np.arange(1, c + 1) * (np.pi / m))) * (lo + hi)
+    anti = (0.5j * scale) * (lo - hi)
+    y = np.zeros(m, dtype=complex)
+    np.add(sym, anti, out=y[1 : c + 1])
+    np.subtract(sym, anti, out=y[: m - c - 1 : -1])
+    y = np.fft.fft(y)
+    out = np.empty(n, dtype=complex)
+    np.subtract(y[1 : n // 2 + 1], y[: n - n // 2 : -1], out=out[1::2])  # X_{2k}
+    out[0] = y[0]
+    np.add(y[1:c], y[: m - c : -1], out=out[2::2])
+    np.cumsum(out[0::2], out=out[0::2])  # X_{2k+1}
+    return out
 
 
 to_position = to_spectral

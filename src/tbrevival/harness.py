@@ -4,17 +4,17 @@ Config files are flat key/value text with sections::
 
     [chain]
     sites = 500            # integer >= 2
-    hopping = 1.0          # optional, default 1.0
+    hopping = 1.0          # optional, > 0, default 1.0
     [initial]
     kind = gaussian        # or: superposition
     center = N/3           # gaussian: one center
     centers = N/3, 2N/3    # superposition: comma list
     weights = 1, 1         # optional, same length as centers
-    half_width = 24        # or: alpha = 0.0578
+    half_width = 24        # > 0; or: alpha = 0.0578 (> 0)
     convention = plus-one  # how to read aN/m centers; or: literal
     [time]
     start = 0.0            # units of the revival time
-    stop = 1.0
+    stop = 1.0             # after start
     points = 2000          # uniform inclusive grid, or:
     denominator = 840      # exact grid at k/denominator
     [metrics]
@@ -235,10 +235,24 @@ def _finite_float(value: str) -> float:
     return number
 
 
+def _positive_float(value: str) -> float:
+    number = _finite_float(value)
+    if number <= 0:
+        raise ValueError(f"{value!r} is not positive")
+    return number
+
+
 def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise ValueError(f"{value!r} is not a positive integer")
+    return number
+
+
+def _site_count(value: str) -> int:
+    number = int(value)
+    if number < 2:
+        raise ValueError(f"{value!r} is not an integer >= 2")
     return number
 
 
@@ -256,8 +270,8 @@ def parse_config(text: str) -> Scenario:
 
 
 def _scenario(entries) -> Scenario:
-    sites = _get(entries, "chain", "sites", int, required=True)
-    hopping = _get(entries, "chain", "hopping", _finite_float, default=1.0)
+    sites = _get(entries, "chain", "sites", _site_count, required=True)
+    hopping = _get(entries, "chain", "hopping", _positive_float, default=1.0)
 
     kind = _get(entries, "initial", "kind", str.lower, default="gaussian")
     if kind not in ("gaussian", "superposition"):
@@ -277,8 +291,8 @@ def _scenario(entries) -> Scenario:
     if weights is not None and len(weights) != len(center_exprs):
         _, lineno = entries["initial"]["weights"]
         raise ConfigError(lineno, "weights must match the number of centers")
-    half_width = _get(entries, "initial", "half_width", _finite_float)
-    alpha = _get(entries, "initial", "alpha", _finite_float)
+    half_width = _get(entries, "initial", "half_width", _positive_float)
+    alpha = _get(entries, "initial", "alpha", _positive_float)
     if (half_width is None) == (alpha is None):
         raise ConfigError(0, "initial needs exactly one of half_width or alpha")
     convention = _get(entries, "initial", "convention", str.lower, default="plus-one")
@@ -298,6 +312,9 @@ def _scenario(entries) -> Scenario:
     time_denominator = _get(entries, "time", "denominator", _positive_int)
     if (time_start is None) != (time_stop is None):
         raise ConfigError(0, "time needs both start and stop")
+    if time_start is not None and time_start >= time_stop:
+        _, lineno = entries["time"]["stop"]
+        raise ConfigError(lineno, f"stop {time_stop!r} is not after start {time_start!r}")
     if time_start is not None and time_points is None and time_denominator is None:
         raise ConfigError(0, "time needs points or denominator")
     if time_points is not None and time_denominator is not None:

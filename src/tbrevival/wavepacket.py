@@ -104,8 +104,13 @@ def build_gwp(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
     """Normalised Gaussian packet in position space."""
     _warn_if_not_contained(chain, spec)
     j = np.arange(1, chain.n_sites + 1, dtype=float)
-    amps = np.exp(-spec.alpha**2 * (j - spec.center) ** 2 / 2.0).astype(complex)
-    return amps / np.linalg.norm(amps)
+    # numpy's power overflows to inf where a Python float's would raise
+    amps = np.exp(-np.float64(spec.alpha) ** 2 * (j - spec.center) ** 2 / 2.0).astype(complex)
+    norm = np.linalg.norm(amps)
+    if not norm > 0:
+        raise ValueError(f"packet at {spec.center} with alpha {spec.alpha:.3g} "
+                         f"has no finite weight on the chain")
+    return amps / norm
 
 
 def build_gwp_spectral(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:

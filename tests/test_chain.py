@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from tbrevival import (
     ChainSpec,
@@ -73,16 +74,47 @@ def test_transform_unitarity_and_round_trip(n):
         np.testing.assert_allclose(back, state, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 257, 4000])
+@pytest.mark.parametrize("n", [2, 257, 3676, 4000])
 def test_transform_matches_dst_oracle(n):
     # independent route: orthonormal DST-I is the same kernel; the FFT
-    # lengths 2(N+1) are 6, 516 and 8002 = 2 * 4001 (a large prime factor)
+    # lengths N+1 are 3, 258, 3677 and 4001 (the last two prime)
     chain = ChainSpec(n_sites=n)
     rng = np.random.default_rng(7)
     state = random_state(rng, n)
     ours = to_spectral(chain, state)
     reference = scipy.fft.dst(state, type=1, norm="ortho")
     np.testing.assert_allclose(ours, reference, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_transform_matches_dense_sine_matrix(n):
+    # every basis vector, so every entry of the kernel, for both parities of N+1
+    m = n + 1
+    j = np.arange(1, m)
+    sine = np.sqrt(2 / m) * np.sin(np.pi * np.outer(j, j) / m)
+    chain = ChainSpec(n_sites=n)
+    columns = np.column_stack([to_spectral(chain, unit) for unit in np.eye(n)])
+    np.testing.assert_allclose(columns, sine, rtol=0, atol=1e-14)
+    state = random_state(np.random.default_rng(n), n)
+    np.testing.assert_allclose(to_spectral(chain, state), sine @ state, rtol=0, atol=1e-14)
+
+
+def test_transform_matches_dst_oracle_on_a_long_chain():
+    n = 100_000
+    state = random_state(np.random.default_rng(11), n)
+    ours = to_spectral(ChainSpec(n_sites=n), state)
+    reference = scipy.fft.dst(state, type=1, norm="ortho")
+    np.testing.assert_allclose(ours, reference, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_transform_round_trip_and_norm_property(n, seed):
+    chain = ChainSpec(n_sites=n)
+    state = random_state(np.random.default_rng(seed), n)
+    coeff = to_spectral(chain, state)
+    assert abs(np.linalg.norm(coeff) - 1) < 1e-12
+    np.testing.assert_allclose(to_position(chain, coeff), state, rtol=0, atol=1e-12)
 
 
 def test_transform_rejects_wrong_length():

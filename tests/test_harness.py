@@ -1,6 +1,9 @@
-import pytest
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tbrevival import ConfigError, estimate_budget, parse_config, reproduce, resolve_center, run_scenario, run_sweep
 from tbrevival.cli import main as cli_main
@@ -90,6 +93,7 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
         ("points = 21", "denominator = 0", "not a positive integer"),
         ("points = 21", "points = -3", "not a positive integer"),
         ("profiles_at = 0.25", "fraction_cap = 0", "not a positive integer"),
+        ("sites = 120", "sites = 1", "not an integer >= 2"),
     ],
 )
 def test_out_of_range_integers_are_line_numbered_config_errors(
@@ -102,6 +106,96 @@ def test_out_of_range_integers_are_line_numbered_config_errors(
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, line, fragment",
+    [
+        ("hopping = 1.0", "hopping = 0", 3, "not positive"),
+        ("half_width = 12", "half_width = -2", 7, "not positive"),
+        ("half_width = 12", "alpha = 0", 7, "not positive"),
+        ("start = 0.0\nstop = 0.5", "start = 0.2\nstop = 0.1", 10, "not after start"),
+        ("stop = 0.5\npoints = 21", "stop = -0.1\ndenominator = 40", 10, "not after start"),
+    ],
+)
+def test_out_of_range_floats_are_line_numbered_config_errors(tmp_path, old, new, line, fragment):
+    text = GOOD_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError, match=fragment) as err:
+        parse_config(text)
+    assert err.value.line == line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# A fuzzed config starts valid and then gets up to two values replaced by
+# text at and beyond the range edges, non-finite or not a number at all.
+_ODD_TEXT = st.sampled_from(
+    ["0", "-0.0", "1", "-2", "2.5", "1e-300", "nan", "inf", "-inf", "x", ""]
+)
+_WILD = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), _ODD_TEXT)
+# Chain size, grid size and grid ends stay small even when replaced: nothing
+# bounds the size of a run yet, so a huge chain or grid would allocate
+# without limit.
+_SIZE_KEYS = {"sites", "start", "stop", "points", "denominator"}
+_WILD_SMALL = st.one_of(st.floats(-4, 4).map(repr), st.integers(-3, 64).map(str), _ODD_TEXT)
+_CENTER = st.one_of(
+    st.sampled_from(["N/3", "2N/3", "(N+1)/4", "N/0"]), st.floats(-10, 80).map(repr)
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    n_centers = draw(st.integers(1, 3))
+    start = draw(st.floats(-4, 4))
+    values = {
+        "sites": str(draw(st.integers(2, 64))),
+        "hopping": repr(draw(st.floats(1e-3, 1e3))),
+        "kind": draw(st.sampled_from(["gaussian", "superposition"])),
+        "center": draw(_CENTER),
+        "centers": ", ".join(draw(st.lists(_CENTER, min_size=n_centers, max_size=n_centers))),
+        "weights": ", ".join(repr(draw(st.floats(-5, 5))) for _ in range(n_centers)),
+        "half_width": repr(draw(st.floats(0.5, 100))),
+        "alpha": repr(draw(st.floats(0.01, 5))),
+        "start": repr(start),
+        "stop": repr(start + draw(st.floats(1e-3, 4))),
+        "points": str(draw(st.integers(1, 64))),
+        "denominator": str(draw(st.integers(1, 64))),
+        "fraction_cap": str(draw(st.integers(1, 2000))),
+        "profiles_at": ", ".join(repr(t) for t in draw(st.lists(st.floats(-10, 10), max_size=2))),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        values[key] = draw(_WILD_SMALL if key in _SIZE_KEYS else _WILD)
+    initial = ["center"] if values["kind"] == "gaussian" else ["centers", "weights"]
+    layout = {
+        "chain": ["sites", "hopping"],
+        "initial": ["kind", *initial, draw(st.sampled_from(["half_width", "alpha"]))],
+        "time": ["start", "stop", draw(st.sampled_from(["points", "denominator"]))],
+        "metrics": ["fraction_cap", "profiles_at"],
+    }
+    lines = []
+    for section, keys in layout.items():
+        lines += [f"[{section}]"] + [f"{key} = {values[key]}" for key in keys]
+    return "\n".join(lines + ["[output]", "prefix = fuzz"]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_configs())
+@example(GOOD_CONFIG.replace("half_width = 12", "alpha = 1e200"))
+@example(GOOD_CONFIG.replace("center = 20", "center = 1e308"))
+@example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 5e-324"))
+@example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 1e308"))
+def test_fuzzed_config_fails_only_cleanly(text):
+    try:
+        parse_config(text)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "fuzz.cfg"
+        cfg.write_text(text)
+        code = cli_main(["trace", "--config", str(cfg), "--out", out])
+    assert code in ((0, 1) if parsed else (2,))
 
 
 def test_parse_config_duplicate_key():
