@@ -48,16 +48,18 @@ class ChainSpec:
     hopping: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n_sites) != self.n_sites or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+        n, j = self.n_sites, self.hopping
+        if int(n) != n or n < 2:
+            raise ValueError(f"n_sites {n!r} is not an integer >= 2")
         # the band edge 2J and the revival time (N+1)^2/(pi J) must be finite floats
-        if not (self.hopping > 0 and np.isfinite(
-            [2.0 * self.hopping, (self.n_sites + 1) ** 2 / (np.pi * self.hopping)]
-        ).all()):
-            raise ValueError(f"hopping must be positive with a finite band and revival time, "
-                             f"got {self.hopping!r}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
-        object.__setattr__(self, "hopping", float(self.hopping))
+        try:
+            revival = (n + 1) ** 2 / (np.pi * j) if j > 0 else np.nan
+        except OverflowError:
+            raise ValueError("n_sites is too large for a finite revival time") from None
+        if not np.isfinite([2.0 * j, revival]).all():
+            raise ValueError(f"hopping {j!r} is not positive with a finite band and revival time")
+        object.__setattr__(self, "n_sites", int(n))
+        object.__setattr__(self, "hopping", float(j))
 
 
 @dataclass(frozen=True)

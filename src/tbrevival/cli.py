@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,40 +22,37 @@ from .harness import (
     parse_config,
     parse_sweep,
     reproduce,
+    revival_fraction,
     run_scenario,
     run_sweep,
     write_profile_csv,
 )
 from .propagator import evolve_exact, revival_clock
-from .revival import RevivalFraction, predict_state
-
-
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="scenario config file")
-    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; evaluation is vectorised")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for compatibility; nothing is randomised")
+from .revival import predict_state
 
 
 def build_parser() -> argparse.ArgumentParser:
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", default=".", help="output directory (default: cwd)")
+    outputs.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; evaluation is vectorised")
+    outputs.add_argument("--seed", type=int, default=None,
+                         help="accepted for compatibility; nothing is randomised")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="scenario config file")
+    runs = [config, outputs]
+
     parser = argparse.ArgumentParser(prog="tbrevival", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", help="evolve the initial state to one instant, emit profile")
-    _add_common(p)
+    p = sub.add_parser("evolve", parents=runs,
+                       help="evolve the initial state to one instant, emit profile")
     p.add_argument("--time", type=float, required=True, help="instant in units of t_rev")
-
-    p = sub.add_parser("trace", help="fidelity trace over the configured time grid")
-    _add_common(p)
-
-    p = sub.add_parser("predict", help="analytic sub-packet prediction at p/q of t_rev")
-    _add_common(p)
-    p.add_argument("--fraction", required=True, help="revival fraction, e.g. 1/3")
-
-    p = sub.add_parser("sweep", help="run the [sweep] section of the config")
-    _add_common(p)
+    sub.add_parser("trace", parents=runs, help="fidelity trace over the configured time grid")
+    p = sub.add_parser("predict", parents=runs,
+                       help="analytic sub-packet prediction at p/q of t_rev")
+    p.add_argument("--fraction", type=revival_fraction, required=True,
+                   help="revival fraction, e.g. 1/3")
+    sub.add_parser("sweep", parents=runs, help="run the [sweep] section of the config")
 
     p = sub.add_parser("budget", help="revival-period vs decoherence budget arithmetic")
     p.add_argument("--sites", type=int, required=True)
@@ -64,12 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoherence-ms", type=float, default=None)
     p.add_argument("--revivals", type=float, default=None)
 
-    p = sub.add_parser("reproduce", help="run a stored figure preset end to end")
+    p = sub.add_parser("reproduce", parents=[outputs],
+                       help="run a stored figure preset end to end")
     p.add_argument("figure", help="figure id, e.g. fig2a ... fig7")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-
     return parser
 
 
@@ -101,9 +94,7 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
 
         elif args.command == "predict":
-            scenario = _load_scenario(args.config)
-            frac = Fraction(args.fraction)
-            fraction = RevivalFraction(frac.numerator, frac.denominator)
+            scenario, fraction = _load_scenario(args.config), args.fraction
             prediction = predict_state(scenario.chain(), scenario.gaussian_spec(), fraction)
             print(f"sub-packets at t = {fraction} of t_rev "
                   f"(center {scenario.gaussian_spec().center:g}):")

@@ -18,13 +18,13 @@ squared magnitudes that get plotted.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .chain import ChainSpec, mode_energies, mode_parities, to_spectral
-from .propagator import evolve_exact, revival_clock
+from .propagator import revival_clock
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
 
@@ -131,10 +131,9 @@ def fractional_fidelity(chain: ChainSpec, spec: GaussianSpec, fraction: RevivalF
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Trace knobs: rational labelling cap and optional profile snapshots."""
+    """Trace knob: the denominator cap of the rational labels behind ``abs_ff_sq``."""
 
     max_denominator: int = 128
-    profile_times: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,14 @@ class FidelityTrace:
     """Sampled |F|^2, |F_f|^2, |A|^2 over a grid of times in units of t_rev.
 
     ``abs_ff_sq`` is NaN where no mirror clone exists for the grid point's
-    rational label p/q, i.e. where p is even (including t = 0).
+    rational label p/q, i.e. where p is even (including t = 0).  A trace
+    holds no profiles: ``harness.run_scenario`` writes them from ``profiles_at``.
     """
 
     times: np.ndarray
     abs_f_sq: np.ndarray
     abs_ff_sq: np.ndarray
     abs_a_sq: np.ndarray
-    profiles: dict = field(default_factory=dict)
 
 
 def _labels(grid, times: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,17 +218,11 @@ def trace(
     a_vals, f_vals = _overlaps(chain, initial, times * t_rev)
     p, q = _labels(grid, times, options.max_denominator)
     abs_f_sq = np.abs(f_vals) ** 2
-
-    profiles = {}
-    for pt in options.profile_times:
-        profiles[float(pt)] = np.abs(evolve_exact(chain, initial, float(pt) * t_rev))
-
     return FidelityTrace(
         times=times,
         abs_f_sq=abs_f_sq,
         abs_ff_sq=np.where(p % 2 == 1, abs_f_sq * q, np.nan),
         abs_a_sq=np.abs(a_vals) ** 2,
-        profiles=profiles,
     )
 
 

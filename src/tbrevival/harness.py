@@ -22,6 +22,11 @@ Config files are flat key/value text with sections::
     profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev)
     [output]
     prefix = run
+    [sweep]                # only for a sweep
+    variable = half_width  # or: sites, center
+    values = 8, 12, 16     # each read as the swept key itself is read
+    metric = fractional_fidelity  # or: mirror_fidelity, autocorrelation
+    fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0
 
 Lines starting with '#' and blank lines are ignored; inline '# ...'
 comments are stripped.  Unknown sections or keys, duplicate keys and
@@ -249,19 +254,32 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _site_count(value: str) -> int:
-    number = int(value)
-    if number < 2:
-        raise ValueError(f"{value!r} is not an integer >= 2")
-    return number
+def _list(convert):
+    return lambda value: tuple(convert(v.strip()) for v in value.split(",") if v.strip())
 
 
-def _float_list(value: str) -> tuple[float, ...]:
-    return tuple(_finite_float(v.strip()) for v in value.split(",") if v.strip())
+def _choice(options: tuple[str, ...]):
+    def convert(value: str) -> str:
+        if value.lower() not in options:
+            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
+        return value.lower()
+    return convert
 
 
-def _str_list(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def revival_fraction(text: str) -> RevivalFraction:
+    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
+    try:
+        value = Fraction(text)
+        float(value)  # p/q must fit a float to become a time
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a fraction p/q with q > 0 that fits a float") from None
+    return RevivalFraction(value.numerator, value.denominator)
+
+
+_KINDS = ("gaussian", "superposition")
+_CONVENTIONS = ("plus-one", "literal")
+_SWEEP_VARIABLES = ("half_width", "sites", "center")
+_SWEEP_METRICS = ("fractional_fidelity", "mirror_fidelity", "autocorrelation")
 
 
 def parse_config(text: str) -> Scenario:
@@ -270,24 +288,25 @@ def parse_config(text: str) -> Scenario:
 
 
 def _scenario(entries) -> Scenario:
-    sites = _get(entries, "chain", "sites", _site_count, required=True)
-    hopping = _get(entries, "chain", "hopping", _positive_float, default=1.0)
+    sites = _get(entries, "chain", "sites", lambda v: ChainSpec(int(v)).n_sites, required=True)
+    hopping = _get(entries, "chain", "hopping",
+                   lambda v: ChainSpec(sites, _finite_float(v)).hopping, default=1.0)
 
-    kind = _get(entries, "initial", "kind", str.lower, default="gaussian")
-    if kind not in ("gaussian", "superposition"):
-        _, lineno = entries["initial"]["kind"]
-        raise ConfigError(lineno, f"kind must be gaussian or superposition, got {kind!r}")
-    center = _get(entries, "initial", "center", str)
-    centers = _get(entries, "initial", "centers", _str_list)
+    kind = _get(entries, "initial", "kind", _choice(_KINDS), default="gaussian")
+    convention = _get(entries, "initial", "convention", _choice(_CONVENTIONS), default="plus-one")
+
+    def center(expr: str) -> str:
+        resolve_center(expr, sites, convention)
+        return expr
+
     if kind == "gaussian":
-        if center is None:
-            raise ConfigError(0, "gaussian initial needs center")
-        center_exprs = (center,)
+        key, read = "center", lambda v: (center(v),)
     else:
-        if centers is None:
-            raise ConfigError(0, "superposition initial needs centers")
-        center_exprs = centers
-    weights = _get(entries, "initial", "weights", _float_list)
+        key, read = "centers", _list(center)
+    center_exprs = _get(entries, "initial", key, read)
+    if center_exprs is None:
+        raise ConfigError(0, f"{kind} initial needs {key}")
+    weights = _get(entries, "initial", "weights", _list(_finite_float))
     if weights is not None and len(weights) != len(center_exprs):
         _, lineno = entries["initial"]["weights"]
         raise ConfigError(lineno, "weights must match the number of centers")
@@ -295,16 +314,6 @@ def _scenario(entries) -> Scenario:
     alpha = _get(entries, "initial", "alpha", _positive_float)
     if (half_width is None) == (alpha is None):
         raise ConfigError(0, "initial needs exactly one of half_width or alpha")
-    convention = _get(entries, "initial", "convention", str.lower, default="plus-one")
-    if convention not in ("plus-one", "literal"):
-        _, lineno = entries["initial"]["convention"]
-        raise ConfigError(lineno, f"convention must be plus-one or literal, got {convention!r}")
-    for expr in center_exprs:
-        try:
-            resolve_center(expr, sites, convention)
-        except ValueError as exc:
-            _, lineno = entries["initial"]["center" if kind == "gaussian" else "centers"]
-            raise ConfigError(lineno, str(exc)) from None
 
     time_start = _get(entries, "time", "start", _finite_float)
     time_stop = _get(entries, "time", "stop", _finite_float)
@@ -321,7 +330,7 @@ def _scenario(entries) -> Scenario:
         raise ConfigError(0, "time takes points or denominator, not both")
 
     fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
-    profiles_at = _get(entries, "metrics", "profiles_at", _float_list, default=())
+    profiles_at = _get(entries, "metrics", "profiles_at", _list(_finite_float), default=())
     prefix = _get(entries, "output", "prefix", str, default="run")
 
     return Scenario(
@@ -354,9 +363,9 @@ class SweepSpec:
     fraction: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
-        if self.variable not in ("half_width", "sites", "center"):
+        if self.variable not in _SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.metric not in ("fractional_fidelity", "mirror_fidelity", "autocorrelation"):
+        if self.metric not in _SWEEP_METRICS:
             raise ValueError(f"unknown sweep metric {self.metric!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
@@ -368,18 +377,20 @@ def parse_sweep(text: str) -> SweepSpec:
     base = _scenario(entries)
     if "sweep" not in entries:
         raise ConfigError(0, "missing [sweep] section")
-    variable = _get(entries, "sweep", "variable", str.lower, required=True)
-    values = _get(entries, "sweep", "values", _float_list, required=True)
-    metric = _get(entries, "sweep", "metric", str.lower, default="fractional_fidelity")
-    frac_text = _get(entries, "sweep", "fraction", str, default="1/2")
-    try:
-        fraction = Fraction(frac_text)
-    except Exception:
-        _, lineno = entries["sweep"]["fraction"]
-        raise ConfigError(lineno, f"bad fraction {frac_text!r}") from None
+    variable = _get(entries, "sweep", "variable", _choice(_SWEEP_VARIABLES), required=True)
+    swept = {  # each swept value is read as its own key would be
+        "sites": lambda v: ChainSpec(int(v), base.hopping).n_sites,
+        "half_width": _positive_float,
+        "center": lambda v: resolve_center(v, base.sites, base.convention),
+    }[variable]
+    values = _get(entries, "sweep", "values", _list(swept), required=True)
+    metric = _get(entries, "sweep", "metric", _choice(_SWEEP_METRICS),
+                  default="fractional_fidelity")
+    fraction = _get(entries, "sweep", "fraction", revival_fraction, default=RevivalFraction(1, 2))
     try:
         return SweepSpec(
-            base=base, variable=variable, values=values, metric=metric, fraction=fraction
+            base=base, variable=variable, values=values, metric=metric,
+            fraction=Fraction(fraction.numerator, fraction.denominator),
         )
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from None
@@ -448,11 +459,11 @@ class SweepResult:
 def _sweep_point(spec: SweepSpec, value: float) -> float:
     base = spec.base
     if spec.variable == "half_width":
-        scenario = replace(base, half_width=float(value), alpha=None)
+        scenario = replace(base, half_width=value, alpha=None)
     elif spec.variable == "sites":
-        scenario = replace(base, sites=int(value))
+        scenario = replace(base, sites=value)
     else:
-        scenario = replace(base, center_exprs=(repr(float(value)),))
+        scenario = replace(base, center_exprs=(repr(value),))
     chain = scenario.chain()
     fraction = RevivalFraction(spec.fraction.numerator, spec.fraction.denominator)
     if spec.metric == "autocorrelation":

@@ -27,6 +27,8 @@ def test_chain_spec_validation():
         ChainSpec(n_sites=10, hopping=0.0)
     with pytest.raises(ValueError):
         ChainSpec(n_sites=10, hopping=-1.0)
+    with pytest.raises(ValueError, match="too large"):
+        ChainSpec(n_sites=10**400)
 
 
 def test_eigen_modes_small_chain():

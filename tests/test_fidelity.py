@@ -157,19 +157,15 @@ def test_trace_bounds_and_determinism(chain500, packet50):
 
 
 def test_trace_profiles_and_runtime(chain500, packet50):
+    # A trace carries no profiles; harness.run_scenario writes them, and the
+    # norm of the evolved state they come from is checked by
+    # test_propagator.py::test_norm_conserved_at_long_times.
     import time
 
     start = time.time()
-    result = trace(
-        chain500,
-        packet50,
-        np.linspace(0.0, 1.0, 2000),
-        TraceOptions(profile_times=(0.5,)),
-    )
+    trace(chain500, packet50, np.linspace(0.0, 1.0, 2000))
     elapsed = time.time() - start
     assert elapsed < 60.0
-    assert 0.5 in result.profiles
-    assert (result.profiles[0.5] ** 2).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_trace_memory_is_bounded():

@@ -94,6 +94,7 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
         ("points = 21", "points = -3", "not a positive integer"),
         ("profiles_at = 0.25", "fraction_cap = 0", "not a positive integer"),
         ("sites = 120", "sites = 1", "not an integer >= 2"),
+        pytest.param("sites = 120", f"sites = {10**400}", "too large", id="sites-10**400"),
     ],
 )
 def test_out_of_range_integers_are_line_numbered_config_errors(
@@ -112,6 +113,7 @@ def test_out_of_range_integers_are_line_numbered_config_errors(
     "old, new, line, fragment",
     [
         ("hopping = 1.0", "hopping = 0", 3, "not positive"),
+        ("hopping = 1.0", "hopping = 5e-324", 3, "not positive"),
         ("half_width = 12", "half_width = -2", 7, "not positive"),
         ("half_width = 12", "alpha = 0", 7, "not positive"),
         ("start = 0.0\nstop = 0.5", "start = 0.2\nstop = 0.1", 10, "not after start"),
@@ -128,8 +130,39 @@ def test_out_of_range_floats_are_line_numbered_config_errors(tmp_path, old, new,
     assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, line, fragment",
+    [
+        ("variable = half_width\nvalues = 8, 12", "variable = sites\nvalues = 1, 20", 18,
+         "not an integer >= 2"),
+        ("variable = half_width\nvalues = 8, 12", "variable = sites\nvalues = 20.5", 18,
+         "invalid literal"),
+        ("values = 8, 12", "values = -1, 8", 18, "not positive"),
+        ("variable = half_width\nvalues = 8, 12", "variable = center\nvalues = 30, nan", 18,
+         "not finite"),
+        ("variable = half_width", "variable = bogus", 17, "not one of"),
+        ("fraction = 1/2", "metric = bogus", 19, "not one of"),
+        ("fraction = 1/2", "fraction = -1/2", 19, "numerator >= 0"),
+        ("fraction = 1/2", "fraction = 1/0", 19, "not a fraction"),
+    ],
+)
+def test_sweep_config_errors_are_line_numbered(tmp_path, old, new, line, fragment):
+    text = SWEEP_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError, match=fragment) as err:
+        parse_sweep(text)
+    assert err.value.line == line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 # A fuzzed config starts valid and then gets up to two values replaced by
 # text at and beyond the range edges, non-finite or not a number at all.
+# Half of them add a [sweep] section, run through the sweep command, with
+# up to one of its values replaced too.
 _ODD_TEXT = st.sampled_from(
     ["0", "-0.0", "1", "-2", "2.5", "1e-300", "nan", "inf", "-inf", "x", ""]
 )
@@ -176,7 +209,21 @@ def fuzzed_configs(draw):
     lines = []
     for section, keys in layout.items():
         lines += [f"[{section}]"] + [f"{key} = {values[key]}" for key in keys]
-    return "\n".join(lines + ["[output]", "prefix = fuzz"]) + "\n"
+    lines += ["[output]", "prefix = fuzz"]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(2, 64).map(str), min_size=1, max_size=3))
+        sweep = {
+            "variable": draw(st.sampled_from(["sites", "half_width", "center"])),
+            "values": ", ".join(values),
+            "metric": draw(st.sampled_from(
+                ["fractional_fidelity", "mirror_fidelity", "autocorrelation"]
+            )),
+            "fraction": draw(st.sampled_from(["1/2", "1/3", "2/3", "0", "5/4"])),
+        }
+        for key in draw(st.sets(st.sampled_from(sorted(sweep)), max_size=1)):
+            sweep[key] = draw(st.one_of(_WILD_SMALL, st.sampled_from(["bogus", "1/0", "-1/2"])))
+        lines += ["[sweep]"] + [f"{key} = {value}" for key, value in sweep.items()]
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,16 +233,21 @@ def fuzzed_configs(draw):
 @example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 5e-324"))
 @example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 1e308"))
 def test_fuzzed_config_fails_only_cleanly(text):
+    sweep = "[sweep]" in text
     try:
-        parse_config(text)
-        parsed = True
+        parsed = (parse_sweep if sweep else parse_config)(text)
     except ConfigError:
-        parsed = False
+        parsed = None
     with tempfile.TemporaryDirectory() as out:
         cfg = Path(out) / "fuzz.cfg"
         cfg.write_text(text)
-        code = cli_main(["trace", "--config", str(cfg), "--out", out])
-    assert code in ((0, 1) if parsed else (2,))
+        code = cli_main(["sweep" if sweep else "trace", "--config", str(cfg), "--out", out])
+    if parsed is None:
+        assert code == 2
+    elif sweep and parsed.metric != "autocorrelation" and parsed.base.kind != "gaussian":
+        assert code == 2  # the two fidelity metrics need a single (gaussian) packet
+    else:
+        assert code in (0, 1)
 
 
 def test_parse_config_duplicate_key():
@@ -353,6 +405,8 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
     assert (tmp_path / "demo_evolved_t0.5.csv").exists()
     assert cli_main(["predict", "--config", str(cfg), "--fraction", "1/3", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "demo_predicted_p1q3.csv").exists()
+    assert cli_main(["predict", "--config", str(cfg), "--fraction", "2/4", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "demo_predicted_p1q2.csv").exists()
     out = capsys.readouterr().out
     assert "sub-packets" in out
     assert cli_main(["budget", "--sites", "500", "--hopping-mev", "10",
@@ -360,6 +414,15 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "4e-06" in out
     assert "2500" in out
+
+
+@pytest.mark.parametrize("fraction", ["1/0", "abc"])
+def test_cli_bad_fraction_is_an_argument_error(tmp_path, fraction):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["predict", "--config", str(cfg), "--fraction", fraction, "--out", str(tmp_path)])
+    assert err.value.code == 2
 
 
 def test_cli_sweep(tmp_path, capsys):
