@@ -16,7 +16,8 @@ real, symmetric and orthogonal, so one function performs both directions.
 It is the orthonormal DST-I, evaluated in O(N log N) through one complex
 FFT of length N+1 of an auxiliary array, not of the length-2(N+1) odd
 extension (Makhoul, IEEE TASSP 28, 27 (1980); Numerical Recipes, section
-12.3, ``sinft``); nothing is cached and no N x N matrix is formed.
+12.3, ``sinft``); nothing is cached and no N x N matrix is formed.  The
+transform and ``reflect`` also take an (M, N) stack of states, one per row.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ def hamiltonian_matrix(chain: ChainSpec) -> np.ndarray:
 
 def _as_state(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim != 1 or arr.shape[0] != chain.n_sites:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != chain.n_sites:
         raise ValueError(
-            f"state has shape {arr.shape}, expected ({chain.n_sites},) for this chain"
+            f"state has shape {arr.shape}, expected ({chain.n_sites},) or "
+            f"(M, {chain.n_sites}) for this chain"
         )
     if not np.isfinite(arr).all():
         raise ValueError("state has non-finite (nan or inf) entries")
@@ -130,6 +132,7 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     X_{2k+1} - X_{2k-1} = (Y_k + Y_{-k})/2, where X_{-1} = -X_1, so the odd
     coefficients are a running sum (Numerical Recipes, ``sinft``).  Every step
     is complex-linear, so complex states take the same path as real ones.
+    An (M, N) stack of states is transformed row by row in one pass.
     """
     x = _as_state(chain, state)
     n = chain.n_sites
@@ -140,18 +143,18 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     # on the antisymmetric part, whose transform is odd in k and so drops
     # out of Y_k + Y_{-k}.
     scale = np.sqrt(0.5 / m)
-    lo, hi = x[:c], x[::-1][:c]
+    lo, hi = x[..., :c], x[..., ::-1][..., :c]
     sym = (scale * np.sin(np.arange(1, c + 1) * (np.pi / m))) * (lo + hi)
     anti = (0.5j * scale) * (lo - hi)
-    y = np.zeros(m, dtype=complex)
-    np.add(sym, anti, out=y[1 : c + 1])
-    np.subtract(sym, anti, out=y[: m - c - 1 : -1])
+    y = np.zeros(x.shape[:-1] + (m,), dtype=complex)
+    np.add(sym, anti, out=y[..., 1 : c + 1])
+    np.subtract(sym, anti, out=y[..., : m - c - 1 : -1])
     y = np.fft.fft(y)
-    out = np.empty(n, dtype=complex)
-    np.subtract(y[1 : n // 2 + 1], y[: n - n // 2 : -1], out=out[1::2])  # X_{2k}
-    out[0] = y[0]
-    np.add(y[1:c], y[: m - c : -1], out=out[2::2])
-    np.cumsum(out[0::2], out=out[0::2])  # X_{2k+1}
+    out = np.empty(x.shape, dtype=complex)
+    np.subtract(y[..., 1 : n // 2 + 1], y[..., : n - n // 2 : -1], out=out[..., 1::2])  # X_{2k}
+    out[..., 0] = y[..., 0]
+    np.add(y[..., 1:c], y[..., : m - c : -1], out=out[..., 2::2])
+    np.cumsum(out[..., 0::2], axis=-1, out=out[..., 0::2])  # X_{2k+1}
     return out
 
 
@@ -160,7 +163,7 @@ to_position = to_spectral
 
 def reflect(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     """Mirror a position state about the chain centre: site j -> N+1-j."""
-    return _as_state(chain, state)[::-1].copy()
+    return _as_state(chain, state)[..., ::-1].copy()
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

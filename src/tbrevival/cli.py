@@ -10,6 +10,7 @@ outputs are deterministic regardless.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .propagator import evolve_exact, revival_clock
 from .revival import predict_state
 
 
+@functools.cache  # built on the first call, then reused: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument("--out", default=".", help="output directory (default: cwd)")

@@ -17,6 +17,7 @@ squared magnitudes that get plotted.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,44 +63,60 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     packet that touches the chain edge keeps every mode; a contained one
     keeps its low-k band.
 
+    ``initial`` is one state, giving shape (2, T), or an (M, N) stack of
+    them, giving (2, M, T).  A stack keeps the union of the modes its states
+    keep, so each state's bound above still holds.
+
     A uniform grid t_k = t_0 + k Delta (every point within 4 eps max|t| of
     it) is split as k = aB + b, with stride B about sqrt(T):
     exp(-i E t_k) = exp(-i E t_aB) exp(-i E b Delta).  An anchor table over
-    the grid's own times t[::B] and a B x K step table are contracted, so a
-    trace costs (T/B + B) K exponentials and T K multiply-adds.  Any other
-    grid takes B = 1, the grid's own phases.  No table exceeds _BLOCK
+    the grid's own times t[::B] and a B x K step table per state are
+    contracted, so a trace costs (T/B + B) K exponentials and T K
+    multiply-adds per state.  Any other grid takes B = 1, the grid's own
+    phases.  No anchor table and no state's step table exceeds _BLOCK
     entries.  Unoptimised einsum stays off BLAS, whose threads cost more
     than they save at these sizes.
     """
-    w = np.abs(to_spectral(chain, initial)) ** 2
-    kept = w > _CUT * w.sum() / chain.n_sites
+    spectral = to_spectral(chain, initial)
+    w = np.abs(spectral.reshape(-1, chain.n_sites)) ** 2
+    kept = np.any(w > _CUT * w.sum(axis=1, keepdims=True) / chain.n_sites, axis=0)
     odd = kept & (mode_parities(chain) > 0)
     order = np.concatenate((np.flatnonzero(odd), np.flatnonzero(kept & ~odd)))
     split = np.count_nonzero(odd)
-    w, energies = w[order], mode_energies(chain)[order]
+    w, energies = w[:, order], mode_energies(chain)[order]
+    states, modes = w.shape
 
     count = len(times)
     delta = (times[-1] - times[0]) / max(count - 1, 1)
     drift = np.abs(times - (times[0] + delta * np.arange(count)))
     uniform = np.all(drift <= 4 * np.finfo(float).eps * np.abs(times).max())
-    anchors_per_table = max(1, _BLOCK // max(len(w), 1))
+    anchors_per_table = max(1, _BLOCK // max(modes, 1))
     stride = min(int(np.ceil(np.sqrt(count))), anchors_per_table) if uniform else 1
-    steps = w * np.exp(-1j * np.outer(delta * np.arange(stride), energies))
+    step_phases = np.exp(-1j * np.outer(delta * np.arange(stride), energies))
+    steps = (w[:, None, :] * step_phases).reshape(states * stride, modes)
     anchors = times[::stride]
-    out = np.empty((2, len(anchors) * stride), dtype=complex)
+    out = np.empty((2, states, len(anchors) * stride), dtype=complex)
     for s in range(0, len(anchors), anchors_per_table):
         phases = np.exp(-1j * np.outer(anchors[s : s + anchors_per_table], energies))
         odd_sum, even_sum = (
-            np.einsum("an,bn->ab", phases[:, part], steps[:, part], optimize=False).ravel()
+            np.einsum("an,bn->ab", phases[:, part], steps[:, part], optimize=False)
+            .reshape(len(phases), states, stride).transpose(1, 0, 2).reshape(states, -1)
             for part in (np.s_[:split], np.s_[split:])
         )
-        out[:, s * stride : s * stride + odd_sum.size] = odd_sum + even_sum, odd_sum - even_sum
-    return out[:, :count]
+        end = s * stride + odd_sum.shape[1]
+        out[:, :, s * stride : end] = odd_sum + even_sum, odd_sum - even_sum
+    return out[..., :count] if spectral.ndim == 2 else out[:, 0, :count]
+
+
+def _one_state(initial) -> np.ndarray:
+    if np.ndim(initial) != 1:
+        raise ValueError(f"expected one state, got an array of shape {np.shape(initial)}")
+    return initial
 
 
 def autocorrelation(chain: ChainSpec, initial: np.ndarray, t: float) -> complex:
     """A(t) = <initial|exp(-iHt)|initial>."""
-    return complex(_overlaps(chain, initial, np.array([t]))[0, 0])
+    return complex(_overlaps(chain, _one_state(initial), np.array([t]))[0, 0])
 
 
 def mirror_fidelity(chain: ChainSpec, spec: GaussianSpec, t: float) -> complex:
@@ -116,15 +133,21 @@ def fractional_fidelity(chain: ChainSpec, spec: GaussianSpec, fraction: RevivalF
     onto the mirror position and the single-coefficient normalisation
     underestimates the predicted amplitude there.
     """
+    return _fractional(fraction, abs(mirror_fidelity(chain, spec, fraction.time(chain))))
+
+
+def _fractional(fraction: RevivalFraction, abs_f):
+    """|F_f| = |F| sqrt(q) of one |F(tau)| or an array of them; see fractional_fidelity."""
     p, q = fraction.numerator, fraction.denominator
     if p % 2 == 0:
         raise NoMirrorCloneError(f"no mirror clone at fraction {fraction}")
-    value = abs(mirror_fidelity(chain, spec, fraction.time(chain))) * np.sqrt(q)
-    if value > 1 + 1e-6:
+    value = abs_f * np.sqrt(q)
+    values = np.atleast_1d(value)
+    for over in values[values > 1 + 1e-6]:
         warnings.warn(
-            f"fractional fidelity {value:.4f} exceeds 1 at {fraction}: "
+            f"fractional fidelity {over:.4f} exceeds 1 at {fraction}: "
             "clone coincidence at the mirror position",
-            stacklevel=2,
+            stacklevel=3,
         )
     return value
 
@@ -151,25 +174,34 @@ class FidelityTrace:
     abs_a_sq: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _farey(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerators, denominators and neighbour midpoints of F_cap in [0, 1], read-only."""
+    p, q = np.meshgrid(np.arange(cap + 1), np.arange(1, cap + 1))
+    keep = (p <= q) & (np.gcd(p, q) == 1)
+    p, q = p[keep], q[keep]
+    order = np.argsort(p / q)
+    p, q = p[order], q[order]
+    mids = (p[:-1] / q[:-1] + p[1:] / q[1:]) / 2
+    for table in (p, q, mids):
+        table.flags.writeable = False  # shared by every later call with this cap
+    return p, q, mids
+
+
 def _labels(grid, times: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of each point's closest rational with denominator <= cap.
 
     Equal to ``Fraction.limit_denominator(cap)`` of each grid entry (a float
     entry is first read as its exact binary value).  The fractional part of
     each point is looked up among the midpoints of neighbouring terms of the
-    Farey sequence F_cap.  Points within 1e-9 (plus half a float spacing) of
-    a midpoint, and every point when F_cap's candidate table would exceed
-    _BLOCK entries, are labelled by ``limit_denominator`` itself, so ties
-    resolve as it resolves them.
+    Farey sequence F_cap, built once per cap.  Points within 1e-9 (plus half
+    a float spacing) of a midpoint, and every point when F_cap's candidate
+    table would exceed _BLOCK entries, are labelled by ``limit_denominator``
+    itself, so ties resolve as it resolves them.
     """
     whole = np.floor(times)
     if cap * (cap + 1) <= _BLOCK:
-        p, q = np.meshgrid(np.arange(cap + 1), np.arange(1, cap + 1))
-        keep = (p <= q) & (np.gcd(p, q) == 1)
-        p, q = p[keep], q[keep]
-        order = np.argsort(p / q)
-        p, q = p[order], q[order]
-        mids = (p[:-1] / q[:-1] + p[1:] / q[1:]) / 2
+        p, q, mids = _farey(cap)
         rest = times - whole
         at = np.searchsorted(mids, rest)
         near = np.abs(mids[np.clip((at - 1, at), 0, len(mids) - 1)] - rest).min(axis=0)
@@ -194,7 +226,9 @@ def trace(
 ) -> FidelityTrace:
     """Evaluate the diagnostics on a strictly increasing grid of t/t_rev.
 
-    Grid entries may be floats or :class:`fractions.Fraction`.  For the
+    Grid entries may be floats or :class:`fractions.Fraction`; a grid object
+    may also supply its float times through ``__array__`` and an exact
+    ``Fraction`` per index (``harness.DenominatorGrid``).  For the
     fractional-fidelity normalisation every entry is labelled by its
     closest rational within ``options.max_denominator`` (at least 1), the
     whole grid at once from the Farey sequence; fractions that already
@@ -208,14 +242,16 @@ def trace(
         raise ValueError("time grid is empty")
     if options.max_denominator < 1:
         raise ValueError(f"max_denominator must be at least 1, got {options.max_denominator!r}")
-    times = np.array([float(g) for g in grid], dtype=float)
+    times = np.array(grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"time grid has shape {times.shape}, expected a sequence of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid has non-finite entries")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
 
     t_rev = revival_clock(chain).revival_time
-    a_vals, f_vals = _overlaps(chain, initial, times * t_rev)
+    a_vals, f_vals = _overlaps(chain, _one_state(initial), times * t_rev)
     p, q = _labels(grid, times, options.max_denominator)
     abs_f_sq = np.abs(f_vals) ** 2
     return FidelityTrace(

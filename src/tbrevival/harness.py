@@ -37,7 +37,16 @@ Center expressions: a plain number, ``aN/m`` (e.g. ``N/3``, ``2N/3``) or
 to a(N+1)/m, which is the choice that produces exact symmetry zeros in the
 mode expansion; ``literal`` divides N itself.
 
-CSV schemas (12 significant digits, LF endings):
+A ``denominator`` grid is held as integers, the numerators k0..k1 over d
+(:class:`DenominatorGrid`): its times are one vectorised division and
+only the points the labeller sends to ``limit_denominator`` become
+``Fraction``s.  A sweep builds one state per value and evaluates all the
+values that share a chain (every value of a ``half_width`` or ``center``
+sweep; each value of a ``sites`` sweep) as one (M, N) stack, in one call
+of the spectral kernel ``fidelity._overlaps``.
+
+CSV schemas (12 significant digits, LF endings; each file is written with
+one %-format):
   trace:   t_over_trev, abs_F_sq, abs_Ff_sq, abs_A_sq
   profile: site, abs_amp
   sweep:   variable, value, metric
@@ -45,6 +54,7 @@ CSV schemas (12 significant digits, LF endings):
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -53,16 +63,15 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec
-from .fidelity import (
-    FidelityTrace, TraceOptions, autocorrelation, fractional_fidelity, mirror_fidelity, trace,
-)
+from .fidelity import _BLOCK, FidelityTrace, TraceOptions, _fractional, _overlaps, trace
 from .propagator import evolve_exact, revival_clock
-from .revival import RevivalFraction
+from .revival import RevivalFraction, fourier_period
 from .wavepacket import GaussianSpec, SuperpositionSpec, build_gwp, build_superposition
 
 __all__ = [
     "ConfigError",
     "Scenario",
+    "DenominatorGrid",
     "SweepSpec",
     "SweepResult",
     "BudgetReport",
@@ -91,6 +100,30 @@ class ConfigError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+@dataclass(frozen=True)
+class DenominatorGrid:
+    """The exact time grid k/d for k in ``numerators``, in units of t_rev.
+
+    A sequence whose i-th entry is ``Fraction(numerators[i], denominator)``.
+    As an array it is ``numerators / denominator`` in one vectorised
+    division, bitwise equal to converting each entry with ``float`` (IEEE
+    division is correctly rounded) while k and d stay below 2**53.
+    """
+
+    numerators: range
+    denominator: int
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.numerators[i], self.denominator)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        r = self.numerators
+        return (np.arange(r.start, r.stop, r.step) / self.denominator).astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -146,14 +179,14 @@ class Scenario:
         return GaussianSpec(center=self.centers()[0], alpha=self.packet_alpha())
 
     def grid(self):
-        """Time grid in t_rev units: exact Fractions when a denominator is set."""
+        """Time grid in t_rev units: a :class:`DenominatorGrid` when a denominator is set."""
         if self.time_start is None or self.time_stop is None:
             return None
         if self.time_denominator is not None:
             d = self.time_denominator
             k0 = round(self.time_start * d)
             k1 = round(self.time_stop * d)
-            return [Fraction(k, d) for k in range(k0, k1 + 1)]
+            return DenominatorGrid(range(k0, k1 + 1), d)
         if self.time_points is not None:
             return np.linspace(self.time_start, self.time_stop, self.time_points)
         return None
@@ -267,12 +300,19 @@ def _choice(options: tuple[str, ...]):
 
 
 def revival_fraction(text: str) -> RevivalFraction:
-    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
+    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``.
+
+    q is bounded so that its Gauss table, ``fourier_period(q)`` entries, stays
+    within the _BLOCK entries that bound every other table.
+    """
     try:
         value = Fraction(text)
         float(value)  # p/q must fit a float to become a time
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} is not a fraction p/q with q > 0 that fits a float") from None
+    if fourier_period(value.denominator) > _BLOCK:
+        raise ValueError(f"{text!r} has a denominator whose Gauss table would exceed "
+                         f"{_BLOCK} entries")
     return RevivalFraction(value.numerator, value.denominator)
 
 
@@ -396,12 +436,13 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError(0, str(exc)) from None
 
 
-def _write_csv(path: Path, header: str, row_format: str, rows) -> Path:
-    # "%.12g" writes nan, inf and -0 as Python's str-format does
+def _write_csv(path: Path, header: str, row_format: str, rows: int, values) -> Path:
+    # one %-format of the flat values for the whole file; "%.12g" writes
+    # nan, inf and -0 as Python's str-format does
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.write("".join(row_format % row for row in rows))
+        fh.write((row_format * rows) % tuple(values))
     return path
 
 
@@ -411,13 +452,16 @@ def write_trace_csv(path: Path, result: FidelityTrace) -> Path:
         path,
         "t_over_trev,abs_F_sq,abs_Ff_sq,abs_A_sq",
         "%.12g,%.12g,%.12g,%.12g\n",
-        map(tuple, table.tolist()),
+        len(table),
+        table.ravel().tolist(),
     )
 
 
 def write_profile_csv(path: Path, amplitudes: np.ndarray) -> Path:
-    rows = enumerate(np.abs(amplitudes).tolist(), start=1)
-    return _write_csv(path, "site,abs_amp", "%d,%.12g\n", rows)
+    n = len(amplitudes)
+    values = [0] * (2 * n)
+    values[0::2], values[1::2] = range(1, n + 1), np.abs(amplitudes).tolist()
+    return _write_csv(path, "site,abs_amp", "%d,%.12g\n", n, values)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
@@ -456,30 +500,44 @@ class SweepResult:
     path: Path | None = None
 
 
-def _sweep_point(spec: SweepSpec, value: float) -> float:
-    base = spec.base
+def _swept(spec: SweepSpec, value: float) -> Scenario:
     if spec.variable == "half_width":
-        scenario = replace(base, half_width=value, alpha=None)
-    elif spec.variable == "sites":
-        scenario = replace(base, sites=value)
-    else:
-        scenario = replace(base, center_exprs=(repr(value),))
-    chain = scenario.chain()
+        return replace(spec.base, half_width=value, alpha=None)
+    if spec.variable == "sites":
+        return replace(spec.base, sites=value)
+    return replace(spec.base, center_exprs=(repr(value),))
+
+
+def _sweep_chain(spec: SweepSpec, scenarios: list[Scenario]) -> np.ndarray:
+    """The metric of scenarios that share one chain, from one stacked kernel call."""
+    chain = scenarios[0].chain()
+    if spec.metric != "autocorrelation":
+        for scenario in scenarios:
+            scenario.gaussian_spec()  # the fidelity metrics need a single packet
     fraction = RevivalFraction(spec.fraction.numerator, spec.fraction.denominator)
+    states = np.array([scenario.initial_state() for scenario in scenarios])
+    a_vals, f_vals = _overlaps(chain, states, np.array([fraction.time(chain)]))[..., 0]
     if spec.metric == "autocorrelation":
-        state = scenario.initial_state()
-        t = fraction.time(chain)
-        return abs(autocorrelation(chain, state, t)) ** 2
-    gspec = scenario.gaussian_spec()
+        return np.abs(a_vals) ** 2
     if spec.metric == "mirror_fidelity":
-        return abs(mirror_fidelity(chain, gspec, fraction.time(chain))) ** 2
-    return fractional_fidelity(chain, gspec, fraction) ** 2
+        return np.abs(f_vals) ** 2
+    return _fractional(fraction, np.abs(f_vals)) ** 2
 
 
 def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
-    """Evaluate the metric at each sweep value; one CSV row per value."""
-    rows = tuple((float(v), float(_sweep_point(spec, v))) for v in spec.values)
-    metrics = [m for _, m in rows]
+    """Evaluate the metric at each sweep value; one CSV row per value.
+
+    Consecutive values on the same chain (every value of a ``half_width`` or
+    ``center`` sweep) are evaluated together, as one stacked call of the
+    spectral kernel.
+    """
+    scenarios = [_swept(spec, v) for v in spec.values]
+    metrics = [
+        float(m)
+        for _, group in itertools.groupby(scenarios, key=Scenario.chain)
+        for m in _sweep_chain(spec, list(group))
+    ]
+    rows = tuple(zip(map(float, spec.values), metrics))
     non_decreasing = all(b >= a - 1e-12 for a, b in zip(metrics, metrics[1:]))
     path = None
     if out_dir is not None:
@@ -487,7 +545,8 @@ def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
             Path(out_dir) / f"{spec.base.prefix}_sweep.csv",
             "variable,value,metric",
             "%s,%.12g,%.12g\n",
-            ((spec.variable, v, m) for v, m in rows),
+            len(rows),
+            [x for v, m in rows for x in (spec.variable, v, m)],
         )
     return SweepResult(
         variable=spec.variable,

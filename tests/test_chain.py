@@ -127,6 +127,23 @@ def test_transform_rejects_wrong_length():
         to_position(chain, np.ones(6))
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 500])
+def test_transform_of_a_stack_matches_row_by_row(n):
+    chain = ChainSpec(n_sites=n)
+    rng = np.random.default_rng(n)
+    stack = np.array([random_state(rng, n) for _ in range(5)])
+    rows = np.array([to_spectral(chain, state) for state in stack])
+    np.testing.assert_allclose(to_spectral(chain, stack), rows, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(to_position(chain, rows), stack, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(reflect(chain, stack), stack[:, ::-1])
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (6,), (3, 4), (3, 6), (5, 3), (2, 3, 5), (1, 1, 5)])
+def test_transform_rejects_every_other_shape(shape):
+    with pytest.raises(ValueError, match="shape"):
+        to_spectral(ChainSpec(n_sites=5), np.ones(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_state_is_rejected(bad):
     chain = ChainSpec(n_sites=16)

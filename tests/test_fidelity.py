@@ -25,7 +25,7 @@ from tbrevival import (
     revival_clock,
     trace,
 )
-from tbrevival.fidelity import _labels
+from tbrevival.fidelity import _farey, _labels, _overlaps
 
 ALPHA24 = 2 * np.sqrt(np.log(2)) / 24
 
@@ -321,6 +321,39 @@ def farey_midpoints(draw):
 def test_property_labels_break_ties_like_limit_denominator(case):
     cap, grid = case
     assert _bulk_labels(grid, cap) == _limit_denominator(grid, cap)
+
+
+def test_farey_table_is_built_once_per_cap_and_read_only():
+    tables = _farey(128)
+    assert _farey(128) is tables
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    grid = LABEL_GRIDS["k/2000"]
+    first = _bulk_labels(grid, 128)
+    p, q = _labels(grid, np.array([float(g) for g in grid]), 128)
+    p[:], q[:] = -1, -1  # labels are the caller's own arrays
+    assert _bulk_labels(grid, 128) == first
+
+
+def test_overlaps_of_a_stack_match_each_state(chain500):
+    # a contained packet keeps a low-k band, an edge packet every mode; the
+    # stack keeps their union, within each state's eps * sum(w) bound
+    states = np.array([
+        build_gwp(chain500, GaussianSpec.from_half_width(center=c, half_width=w))
+        for c, w in ((250.0, 24.0), (50.0, 4.0), (3.0, 8.0))
+    ])
+    for times in (np.array([0.37e5]), np.linspace(0.0, 2e5, 101)):
+        stacked = _overlaps(chain500, states, times)
+        assert stacked.shape == (2, len(states), len(times))
+        for i, state in enumerate(states):
+            np.testing.assert_allclose(stacked[:, i], _overlaps(chain500, state, times),
+                                       rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="one state"):
+        autocorrelation(chain500, states, 1.0)
+    with pytest.raises(ValueError, match="one state"):
+        trace(chain500, states, [0.5])
 
 
 def test_trace_rejects_cap_below_one(chain500, packet50):

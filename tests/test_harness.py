@@ -1,13 +1,20 @@
 import tempfile
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tbrevival import ConfigError, estimate_budget, parse_config, reproduce, resolve_center, run_scenario, run_sweep
-from tbrevival.cli import main as cli_main
-from tbrevival.harness import PRESET_FIGURES, Scenario, SweepSpec, parse_sweep
+from tbrevival import (
+    ConfigError, NoMirrorCloneError, RevivalFraction, autocorrelation, estimate_budget,
+    fractional_fidelity, mirror_fidelity, parse_config, reproduce, resolve_center, run_scenario,
+    run_sweep, trace,
+)
+from tbrevival.cli import build_parser, main as cli_main
+from tbrevival.harness import DenominatorGrid, PRESET_FIGURES, Scenario, SweepSpec, parse_sweep
 
 GOOD_CONFIG = """\
 [chain]
@@ -147,6 +154,7 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "metric = bogus", 19, "not one of"),
         ("fraction = 1/2", "fraction = -1/2", 19, "numerator >= 0"),
         ("fraction = 1/2", "fraction = 1/0", 19, "not a fraction"),
+        ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
     ],
 )
 def test_sweep_config_errors_are_line_numbered(tmp_path, old, new, line, fragment):
@@ -305,16 +313,75 @@ def test_trace_values_use_twelve_significant_digits(tmp_path):
     assert len(row[1].split("e")[0].replace(".", "").replace("-", "")) <= 12
 
 
-def test_run_sweep_single_value_matches_scenario():
-    base = Scenario(sites=200, center_exprs=("30",), half_width=12.0, prefix="s")
-    spec = SweepSpec(base=base, variable="half_width", values=(12.0,))
-    result = run_sweep(spec)
-    from tbrevival import GaussianSpec, fractional_fidelity, RevivalFraction, ChainSpec
+SWEEP_BASE = Scenario(sites=200, center_exprs=("30",), half_width=12.0, prefix="s")
+SWEPT = {  # variable: (values, the scenario of one value)
+    "half_width": ((6.0, 12.0, 20.0), lambda v: replace(SWEEP_BASE, half_width=v)),
+    "center": ((30.0, 45.5, 3.0), lambda v: replace(SWEEP_BASE, center_exprs=(repr(v),))),
+    "sites": ((150, 200, 201), lambda v: replace(SWEEP_BASE, sites=v)),
+}
 
-    direct = fractional_fidelity(
-        ChainSpec(200), GaussianSpec.from_half_width(30, 12.0), RevivalFraction(1, 2)
-    ) ** 2
-    assert result.rows[0][1] == pytest.approx(direct, abs=1e-12)
+
+@pytest.mark.filterwarnings("ignore:packet at 3.0")  # an edge packet keeps every mode
+@pytest.mark.parametrize("metric", ["fractional_fidelity", "mirror_fidelity", "autocorrelation"])
+@pytest.mark.parametrize("variable", sorted(SWEPT))
+def test_run_sweep_single_value_matches_scenario(variable, metric):
+    # each value of the stacked sweep equals the scalar diagnostic of its own scenario
+    values, scenario_at = SWEPT[variable]
+    result = run_sweep(SweepSpec(base=SWEEP_BASE, variable=variable, values=values, metric=metric))
+    fraction = RevivalFraction(1, 2)
+    for value, (row_value, row_metric) in zip(values, result.rows):
+        scenario = scenario_at(value)
+        chain = scenario.chain()
+        t = fraction.time(chain)
+        if metric == "fractional_fidelity":
+            direct = fractional_fidelity(chain, scenario.gaussian_spec(), fraction) ** 2
+        elif metric == "mirror_fidelity":
+            direct = abs(mirror_fidelity(chain, scenario.gaussian_spec(), t)) ** 2
+        else:
+            direct = abs(autocorrelation(chain, scenario.initial_state(), t)) ** 2
+        assert row_value == value
+        assert row_metric == pytest.approx(direct, abs=1e-12)
+
+
+def test_sweep_keeps_the_fractional_rule():
+    # commensurate centers pile folded clones onto the mirror site at 1/10
+    base = Scenario(sites=500, center_exprs=("N/10",), half_width=24.0)
+    values = (501 / 10, 501 / 5, 80.0)
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        for value in values:
+            scenario = replace(base, center_exprs=(repr(value),))
+            fractional_fidelity(scenario.chain(), scenario.gaussian_spec(), RevivalFraction(1, 10))
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        run_sweep(SweepSpec(base=base, variable="center", values=values, fraction=Fraction(1, 10)))
+    overshoot = [[str(w.message) for w in ws if "exceeds 1" in str(w.message)]
+                 for ws in (direct, swept)]
+    assert overshoot[0] and overshoot[1] == overshoot[0]
+    with pytest.raises(NoMirrorCloneError):
+        run_sweep(SweepSpec(base=base, variable="center", values=values, fraction=Fraction(2, 3)))
+
+
+@pytest.mark.parametrize("figure, ties", [("fig2a", 12), ("fig2b", 4)])
+def test_denominator_grid_traces_like_its_fractions(monkeypatch, figure, ties):
+    scenario = PRESET_FIGURES[figure]
+    grid = scenario.grid()
+    assert isinstance(grid, DenominatorGrid)
+    fractions = [Fraction(k, scenario.time_denominator) for k in grid.numerators]
+    assert list(grid) == fractions
+    chain, state = scenario.chain(), scenario.initial_state()
+    expected = trace(chain, state, fractions)
+
+    exact = []  # entries read one by one: the near-tie points only
+    getitem = DenominatorGrid.__getitem__
+    monkeypatch.setattr(DenominatorGrid, "__getitem__",
+                        lambda self, i: exact.append(i) or getitem(self, i))
+    result = trace(chain, state, grid)
+    assert len(exact) == ties
+    for column in ("times", "abs_f_sq", "abs_ff_sq", "abs_a_sq"):
+        np.testing.assert_array_equal(getattr(result, column), getattr(expected, column))
+    assert np.asarray(grid, dtype=float).tobytes() == np.array(
+        [float(f) for f in fractions]).tobytes()
 
 
 def test_run_sweep_width_is_monotone(tmp_path):
@@ -416,13 +483,35 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
     assert "2500" in out
 
 
-@pytest.mark.parametrize("fraction", ["1/0", "abc"])
+@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001"])
 def test_cli_bad_fraction_is_an_argument_error(tmp_path, fraction):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(GOOD_CONFIG)
     with pytest.raises(SystemExit) as err:
         cli_main(["predict", "--config", str(cfg), "--fraction", fraction, "--out", str(tmp_path)])
     assert err.value.code == 2
+
+
+def test_cli_parses_each_call_on_its_own(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\n")
+    calls = [
+        (["evolve", "--config", str(cfg), "--time", "0.5", "--out", str(tmp_path / "e"),
+          "--seed", "3"], {"config", "time", "out", "threads", "seed"}),
+        (["reproduce", "fig5b", "--out", str(tmp_path / "r")],
+         {"figure", "out", "threads", "seed"}),
+        (["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")],
+         {"config", "out", "threads", "seed"}),
+    ]
+    for argv, keys in calls:
+        args = build_parser().parse_args(argv)
+        assert set(vars(args)) == keys | {"command"}
+        assert args.seed == (3 if "--seed" in argv else None)
+        assert cli_main(argv) == 0
+    assert [p.name for p in (tmp_path / "e").iterdir()] == ["demo_evolved_t0.5.csv"]
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["fig5b_profile_t0.25.csv"]
+    assert [p.name for p in (tmp_path / "s").iterdir()] == ["demo_sweep.csv"]
 
 
 def test_cli_sweep(tmp_path, capsys):
