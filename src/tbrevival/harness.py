@@ -55,6 +55,7 @@ one %-format):
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -92,6 +93,9 @@ HBAR_MEV_MS = 6.582119569e-10  # hbar, meV * ms
 # alongside and differs by roughly 30%.
 QUOTED_REVIVAL_MS_PER_SITE_SQ = 1.6e-11
 QUOTED_REVIVAL_HOPPING_MEV = 10.0
+
+# A run peaks at ~320 B of traced memory per grid point, so ~330 MB at this size.
+_MAX_GRID_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -368,6 +372,15 @@ def _scenario(entries) -> Scenario:
         raise ConfigError(0, "time needs points or denominator")
     if time_points is not None and time_denominator is not None:
         raise ConfigError(0, "time takes points or denominator, not both")
+    if time_start is not None:  # size the grid before any of it exists
+        d = time_denominator
+        try:
+            k0, k1 = (round(time_start * d), round(time_stop * d)) if d else (0, time_points - 1)
+        except OverflowError:  # an end k/d beyond the float range
+            k0, k1 = 0, math.inf
+        if k1 - k0 >= _MAX_GRID_POINTS or max(abs(k0), abs(k1)) >= 2**53:
+            raise ConfigError(entries["time"]["denominator" if d else "points"][1], "time grid "
+                              f"has over {_MAX_GRID_POINTS} points or a k/d with |k| >= 2**53")
 
     fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
     profiles_at = _get(entries, "metrics", "profiles_at", _list(_finite_float), default=())
@@ -605,20 +618,24 @@ def estimate_budget(
     coefficient; at 1 ms decoherence and 10 meV it reduces to
     2.5e5/sqrt(n) exactly.
     """
-    if n_sites < 2 or hopping_mev <= 0:
-        raise ValueError("need n_sites >= 2 and positive hopping")
+    if not 2 <= n_sites < math.inf or int(n_sites) != n_sites:
+        raise ValueError(f"sites {n_sites!r} is not an integer >= 2")
+    for name, value in (("hopping", hopping_mev), ("decoherence", decoherence_ms),
+                        ("revivals", n_revivals)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} {value!r} is not finite and positive")
     scale = QUOTED_REVIVAL_HOPPING_MEV / hopping_mev
-    quoted = QUOTED_REVIVAL_MS_PER_SITE_SQ * n_sites**2 * scale
-    physical = HBAR_MEV_MS * (n_sites + 1) ** 2 / (np.pi * hopping_mev)
-    revivals = None
-    if decoherence_ms is not None:
-        revivals = decoherence_ms / quoted
-    max_sites = None
-    if n_revivals is not None:
-        window = 1.0 if decoherence_ms is None else decoherence_ms
-        max_sites = float(
-            np.sqrt(window / (QUOTED_REVIVAL_MS_PER_SITE_SQ * scale * n_revivals))
-        )
+    try:
+        quoted = QUOTED_REVIVAL_MS_PER_SITE_SQ * n_sites**2 * scale
+        physical = HBAR_MEV_MS * (n_sites + 1) ** 2 / (np.pi * hopping_mev)
+        revivals = None if decoherence_ms is None else decoherence_ms / quoted
+        max_sites = None if n_revivals is None else float(np.sqrt(
+            (decoherence_ms or 1.0) / (QUOTED_REVIVAL_MS_PER_SITE_SQ * scale * n_revivals)))
+        numbers = [x for x in (quoted, physical, revivals, max_sites) if x is not None]
+    except (OverflowError, ZeroDivisionError):
+        numbers = [math.inf]
+    if not np.isfinite(numbers).all():
+        raise ValueError("the budget for these inputs is out of the float range")
     return BudgetReport(
         n_sites=n_sites,
         hopping_mev=hopping_mev,

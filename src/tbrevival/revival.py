@@ -8,10 +8,9 @@ finite Fourier expansion
 
 whose coefficients b_r are quadratic Gauss sums.  Each Fourier component
 translates the packet by 2(N+1)r/l sites, so the evolved state is a
-superposition of clones of the initial packet:
+superposition of clones of the initial packet,
 
-    b_0 psi(c) - b_{l/2} psi(N+1-c)
-        + sum_{r=1}^{l/2-1} b_r [psi(c + 2(N+1)r/l) + psi(c - 2(N+1)r/l)],
+    sum_{r=0}^{l-1} b_r psi(c + 2(N+1)r/l),
 
 where psi(x) denotes the packet whose mode coefficients are
 sin(k x) exp(-k^2/2 alpha^2).  Exactly q of the b_r are nonzero and each
@@ -22,10 +21,17 @@ A clone center outside [1, N] is equivalent to a folded one: the sine
 basis is the odd extension of period 2(N+1), so sin(k x) = -sin(k(-x)) and
 sin(k x) = -sin(k(2(N+1)-x)).  Clones are therefore reflected back into
 the chain with a sign flip per reflection (method of images); a center
-landing exactly on 0 or N+1 is a node and the clone vanishes.  Folded
-clones that coincide superpose coherently, which is how strong partial
-revivals (e.g. weight (2+sqrt 2)/4 at the mirror for quarter-period
-revivals of a quarter-chain packet) arise.
+landing exactly on 0 or N+1 is a node and the clone vanishes.
+``predict_state`` sums all l components and folds each one: folding pairs
+r with l - r (b_r = b_{l-r}) and sends r = l/2 to the mirror site with a
+minus sign, so the sum takes the folded form
+
+    b_0 psi(c) - b_{l/2} psi(N+1-c)
+        + sum_{r=1}^{l/2-1} b_r [psi(c + 2(N+1)r/l) + psi(c - 2(N+1)r/l)].
+
+Folded clones that coincide superpose coherently, which is how strong
+partial revivals (e.g. weight (2+sqrt 2)/4 at the mirror for
+quarter-period revivals of a quarter-chain packet) arise.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .chain import (
 )
 from .propagator import quadratic_energies, revival_clock
 from .wavepacket import (
-    SURVIVOR_TOLERANCE,
     GaussianSpec,
     build_gwp_spectral,
     high_mode_weight,
@@ -63,6 +68,9 @@ __all__ = [
     "effective_period",
     "is_commensurate",
 ]
+
+_MERGE_TOL = 1e-6  # sites: closer clones are one sub-packet, this close to an end a node
+_SUPPORT_WEIGHT = 1 - 1e-6  # a packet's support: the fewest modes carrying this weight
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,8 @@ def fold_center(chain: ChainSpec, center: float) -> tuple[float, float, bool]:
 class CloneEntry:
     """One clone of the sub-packet sum after folding into the chain."""
 
-    raw_center: float
     center: float
-    weight: complex  # includes fold sign and the minus on the mirror term
-    reflected: bool
+    weight: complex  # b_r times the fold sign
 
 
 @dataclass(frozen=True)
@@ -169,19 +175,19 @@ class SubPacketPrediction:
     entries: tuple[CloneEntry, ...]
     state: np.ndarray = field(repr=False)
 
-    def merged(self, position_tol: float = 1e-6) -> list[tuple[float, complex]]:
+    def merged(self) -> list[tuple[float, complex]]:
         """Coincident clones combined into physical sub-packets.
 
-        Entries at node positions (center within tol of 0 or N+1) vanish
+        Entries at node positions (center within 1e-6 of 0 or N+1) vanish
         identically and are dropped, as are groups whose weights cancel.
         Sorted by center.
         """
         L = self.chain.n_sites + 1
         groups: list[tuple[float, complex]] = []
         for e in sorted(self.entries, key=lambda e: e.center):
-            if e.center < position_tol or abs(e.center - L) < position_tol:
+            if e.center < _MERGE_TOL or abs(e.center - L) < _MERGE_TOL:
                 continue
-            if groups and abs(e.center - groups[-1][0]) < position_tol:
+            if groups and abs(e.center - groups[-1][0]) < _MERGE_TOL:
                 groups[-1] = (groups[-1][0], groups[-1][1] + e.weight)
             else:
                 groups.append((e.center, e.weight))
@@ -201,10 +207,8 @@ def predict_state(
     coeffs = gauss_coefficients(fraction)
     l, b = coeffs.period, coeffs.values
     L = chain.n_sites + 1
-    c0 = spec.center
 
-    spectral0 = build_gwp_spectral(chain, spec)
-    tail = high_mode_weight(chain, spectral0)
+    tail = high_mode_weight(chain, build_gwp_spectral(chain, spec))
     if tail > 1e-6:
         warnings.warn(
             f"packet has {tail:.2e} of its weight outside the low-energy "
@@ -212,41 +216,21 @@ def predict_state(
             stacklevel=2,
         )
 
-    raw: list[tuple[float, complex, bool]] = [(c0, complex(b[0]), False)]
-    raw.append((L - c0, -complex(b[l // 2]), True))  # dedicated mirror-image term
-    for r in range(1, l // 2):
-        shift = 2.0 * L * r / l
-        raw.append((c0 + shift, complex(b[r]), False))
-        raw.append((c0 - shift, complex(b[r]), False))
-
     entries = []
-    for raw_center, weight, mirror_term in raw:
-        if abs(weight) < 1e-10:
+    for r in range(l):
+        if abs(b[r]) < 1e-10:  # a Gauss-sum zero: no clone
             continue
-        folded, sign, flipped = fold_center(chain, raw_center)
-        entries.append(
-            CloneEntry(
-                raw_center=raw_center,
-                center=folded,
-                weight=sign * weight,
-                reflected=mirror_term ^ flipped,
-            )
-        )
+        center, sign, _ = fold_center(chain, spec.center + 2.0 * L * r / l)
+        entries.append(CloneEntry(center=center, weight=sign * complex(b[r])))
 
     k = mode_wavenumbers(chain)
-    envelope = np.exp(-(k**2) / (2.0 * spec.alpha**2))
-    coeff = np.zeros(chain.n_sites, dtype=complex)
-    for e in entries:
-        coeff += e.weight * np.sin(k * e.center)
-    coeff *= envelope
+    coeff = sum(e.weight * np.sin(k * e.center) for e in entries)
+    coeff = coeff * np.exp(-(k**2) / (2.0 * spec.alpha**2))
     norm = np.linalg.norm(coeff)
     if norm == 0:
         raise ValueError("predicted clones cancel exactly; no state to assemble")
-    state = to_position(chain, coeff / norm)
-
-    return SubPacketPrediction(
-        chain=chain, spec=spec, fraction=fraction, entries=tuple(entries), state=state
-    )
+    return SubPacketPrediction(chain=chain, spec=spec, fraction=fraction,
+                               entries=tuple(entries), state=to_position(chain, coeff / norm))
 
 
 @dataclass(frozen=True)
@@ -263,13 +247,12 @@ def spmc_check(
     chain: ChainSpec,
     packet,
     tolerance: float = 1e-2,
-    support_weight: float = 1 - 1e-6,
 ) -> SpmcReport:
     """Check that offset-removed energies are n^2 dE and parities alternate.
 
     ``packet`` is a :class:`GaussianSpec` or a spectral coefficient vector.
-    The support is the smallest set of modes carrying ``support_weight`` of
-    the probability; over it the exact energies +2J are compared with the
+    The support is the smallest set of modes carrying 1 - 1e-6 of the
+    probability; over it the exact energies +2J are compared with the
     quadratic ladder, and reflection is checked to multiply each supported
     coefficient by its mirror parity (-1)^(n+1).
     """
@@ -280,7 +263,7 @@ def spmc_check(
     weights = np.abs(coeff) ** 2
     weights = weights / weights.sum()
     order = np.argsort(weights)[::-1]
-    cut = int(np.searchsorted(np.cumsum(weights[order]), support_weight)) + 1
+    cut = int(np.searchsorted(np.cumsum(weights[order]), _SUPPORT_WEIGHT)) + 1
     support = np.sort(order[:cut]) + 1  # 1-based mode indices
 
     exact = mode_energies(chain)[support - 1] + 2.0 * chain.hopping
@@ -301,11 +284,7 @@ def spmc_check(
     )
 
 
-def effective_period(
-    chain: ChainSpec,
-    coefficients: np.ndarray,
-    tolerance: float = SURVIVOR_TOLERANCE,
-) -> tuple[int, float]:
+def effective_period(chain: ChainSpec, coefficients: np.ndarray) -> tuple[int, float]:
     """Spacing multiplier g and the period t_rev / g for a spectral state.
 
     Symmetry zeros in the expansion thin out the quadratic ladder n^2 dE;
@@ -320,7 +299,7 @@ def effective_period(
     0, 1, 3, 6, 10, ..., and the first recurrence is 2 t_rev / g, where
     every relative phase is 1.
     """
-    surv = surviving_modes(coefficients, tolerance)
+    surv = surviving_modes(coefficients)
     if len(surv) < 2:
         raise ValueError("need at least two surviving levels to define a period")
     base = int(surv[0]) ** 2

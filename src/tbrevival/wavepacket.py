@@ -153,12 +153,12 @@ def packet_overlap(chain: ChainSpec, spec_a: GaussianSpec, spec_b: GaussianSpec)
     return float(np.real(np.vdot(a, b)))
 
 
-def surviving_modes(coefficients: np.ndarray, tolerance: float = SURVIVOR_TOLERANCE) -> np.ndarray:
-    """1-based indices of modes whose coefficient exceeds tolerance * max|coefficient|."""
+def surviving_modes(coefficients: np.ndarray) -> np.ndarray:
+    """1-based indices of modes whose coefficient exceeds SURVIVOR_TOLERANCE * max|coefficient|."""
     mags = np.abs(np.asarray(coefficients))
     if mags.size == 0:
         return np.zeros(0, dtype=int)
-    return np.where(mags > tolerance * mags.max())[0] + 1
+    return np.where(mags > SURVIVOR_TOLERANCE * mags.max())[0] + 1
 
 
 def high_mode_weight(chain: ChainSpec, coefficients: np.ndarray) -> float:

@@ -64,6 +64,7 @@ def test_parse_config_happy_path():
         ("bogus = 1", "unknown key"),
         ("[weird]", "unknown section"),
         ("hopping = fast", "bad value"),
+        ("hopping", "expected key = value"),
     ],
 )
 def test_parse_config_line_numbered_errors(mutation, fragment):
@@ -102,6 +103,14 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
         ("profiles_at = 0.25", "fraction_cap = 0", "not a positive integer"),
         ("sites = 120", "sites = 1", "not an integer >= 2"),
         pytest.param("sites = 120", f"sites = {10**400}", "too large", id="sites-10**400"),
+        # over the size bounds; rejected before anything is allocated
+        ("sites = 120", "sites = 1000000000", "too large"),
+        pytest.param("sites = 120", f"sites = {10**20}", "too large", id="sites-10**20"),
+        ("sites = 120", f"sites = {2**22 + 1}", "too large"),
+        ("points = 21", "points = 1000000000000", "time grid has over"),
+        ("points = 21", f"points = {2**20 + 1}", "time grid has over"),
+        pytest.param("points = 21", f"denominator = {10**400}", "time grid has over",
+                     id="denominator-10**400"),
     ],
 )
 def test_out_of_range_integers_are_line_numbered_config_errors(
@@ -125,6 +134,15 @@ def test_out_of_range_integers_are_line_numbered_config_errors(
         ("half_width = 12", "alpha = 0", 7, "not positive"),
         ("start = 0.0\nstop = 0.5", "start = 0.2\nstop = 0.1", 10, "not after start"),
         ("stop = 0.5\npoints = 21", "stop = -0.1\ndenominator = 40", 10, "not after start"),
+        ("half_width = 12", "# comment\n\nhalf_width = -2", 9, "not positive"),
+        ("[chain]", "hopping = 2.0\n[chain]", 1, "outside any"),
+        ("stop = 0.5\n", "", 0, "needs both start and stop"),
+        ("points = 21\n", "", 0, "needs points or denominator"),
+        ("points = 21", "points = 21\ndenominator = 40", 0, "not both"),
+        ("start = 0.0\nstop = 0.5\npoints = 21", "start = 1e300\nstop = 2e300\ndenominator = 840",
+         11, "time grid has over"),
+        ("start = 0.0\nstop = 0.5\npoints = 21",
+         "start = 1e16\nstop = 1.0000000000000002e16\ndenominator = 1", 11, r"2\*\*53"),
     ],
 )
 def test_out_of_range_floats_are_line_numbered_config_errors(tmp_path, old, new, line, fragment):
@@ -155,6 +173,8 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "fraction = -1/2", 19, "numerator >= 0"),
         ("fraction = 1/2", "fraction = 1/0", 19, "not a fraction"),
         ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
+        ("[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n", "", 0,
+         r"missing \[sweep\]"),
     ],
 )
 def test_sweep_config_errors_are_line_numbered(tmp_path, old, new, line, fragment):
@@ -175,9 +195,9 @@ _ODD_TEXT = st.sampled_from(
     ["0", "-0.0", "1", "-2", "2.5", "1e-300", "nan", "inf", "-inf", "x", ""]
 )
 _WILD = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), _ODD_TEXT)
-# Chain size, grid size and grid ends stay small even when replaced: nothing
-# bounds the size of a run yet, so a huge chain or grid would allocate
-# without limit.
+# Chain size, grid size and grid ends stay small even when replaced: runs
+# are bounded (2**22 sites, 2**20 grid points), but a run near a bound
+# allocates hundreds of MB.  The examples below go past the bounds.
 _SIZE_KEYS = {"sites", "start", "stop", "points", "denominator"}
 _WILD_SMALL = st.one_of(st.floats(-4, 4).map(repr), st.integers(-3, 64).map(str), _ODD_TEXT)
 _CENTER = st.one_of(
@@ -240,6 +260,11 @@ def fuzzed_configs(draw):
 @example(GOOD_CONFIG.replace("center = 20", "center = 1e308"))
 @example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 5e-324"))
 @example(GOOD_CONFIG.replace("hopping = 1.0", "hopping = 1e308"))
+@example(GOOD_CONFIG.replace("start = 0.0\nstop = 0.5\npoints = 21",
+                             "start = 1e300\nstop = 2e300\ndenominator = 840"))
+@example(GOOD_CONFIG.replace("points = 21", "points = 1000000000000"))
+@example(GOOD_CONFIG.replace("sites = 120", "sites = 1000000000"))
+@example(GOOD_CONFIG.replace("sites = 120", f"sites = {10**20}"))
 def test_fuzzed_config_fails_only_cleanly(text):
     sweep = "[sweep]" in text
     try:
@@ -418,6 +443,30 @@ def test_estimate_budget_scalings():
     assert halved.revival_ms_quoted == pytest.approx(2.0e-6, rel=1e-12)
     with pytest.raises(ValueError):
         estimate_budget(1, 10.0)
+
+
+@pytest.mark.parametrize(
+    "sites, hopping, decoherence, revivals, fragment",
+    [
+        (500, 10.0, None, 0.0, "revivals 0.0 is not finite and positive"),
+        (500, float("inf"), 1.0, None, "hopping inf is not finite"),
+        pytest.param(10**399, 10.0, None, None, "float range", id="sites-400-digits"),
+        (500, float("nan"), None, None, "hopping nan is not finite"),
+        (500, 10.0, -1.0, 1e4, "decoherence -1.0 is not finite and positive"),
+        (500, 1e-320, None, None, "float range"),
+        (500, 1e308, None, 1e-300, "float range"),
+        (1, 10.0, None, None, "not an integer >= 2"),
+    ],
+)
+def test_estimate_budget_rejects_bad_input(capsys, sites, hopping, decoherence, revivals,
+                                           fragment):
+    with pytest.raises(ValueError, match=fragment):
+        estimate_budget(sites, hopping, decoherence, revivals)
+    argv = ["budget", "--sites", str(sites), "--hopping-mev", repr(hopping)]
+    argv += [] if decoherence is None else ["--decoherence-ms", repr(decoherence)]
+    argv += [] if revivals is None else ["--revivals", repr(revivals)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("figure", sorted(PRESET_FIGURES) + ["fig7"])

@@ -33,6 +33,8 @@ def test_revival_fraction_validation():
         RevivalFraction(1, 0)
     with pytest.raises(ValueError):
         RevivalFraction(-1, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        RevivalFraction(1.5, 2)
     frac = RevivalFraction.from_float(0.25)
     assert (frac.numerator, frac.denominator) == (1, 4)
     assert RevivalFraction(0, 1).value == 0.0
@@ -167,15 +169,40 @@ def test_predict_third_revival_at_third_chain_single_clone(chain500):
     assert abs(merged[0][1]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_prediction_equals_quadratic_evolution(chain500, spec50):
-    # the clone sum resums the quadratic phases exactly
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 6, 7, 12])
+def test_prediction_equals_quadratic_evolution(chain500, q):
+    # the clone sum resums the quadratic phases exactly, for p < q and p > q alike
     from tbrevival import to_position
 
-    state0 = to_position(chain500, build_gwp_spectral(chain500, spec50))
-    for frac in (RevivalFraction(1, 5), RevivalFraction(3, 4), RevivalFraction(2, 5)):
-        pred = predict_state(chain500, spec50, frac)
-        quad = evolve_quadratic(chain500, state0, frac.time(chain500))
-        assert abs(inner_product(quad, pred.state)) == pytest.approx(1.0, abs=1e-10)
+    numerators = {1: (1, 2), 2: (1, 5), 4: (3, 7), 5: (1, 2), 6: (1, 11), 7: (2, 15), 12: (5, 13)}
+    for center in (50.0, 501 / 4, 501 / 6):
+        spec = GaussianSpec.from_half_width(center=center, half_width=24.0)
+        state0 = to_position(chain500, build_gwp_spectral(chain500, spec))
+        for p in numerators[q]:
+            frac = RevivalFraction(p, q)
+            pred = predict_state(chain500, spec, frac)
+            quad = evolve_quadratic(chain500, state0, frac.time(chain500))
+            assert abs(inner_product(quad, pred.state)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:packet has")  # wide packets on a short chain
+def test_prediction_has_exactly_q_clones():
+    # exactly q of the l Gauss coefficients b_r are nonzero, one clone each
+    chain = ChainSpec(n_sites=40)
+    for center in (7.0, 41 / 4, 41 / 6, 41 / 3):
+        spec = GaussianSpec.from_half_width(center=center, half_width=4.0)
+        for q in range(1, 30):
+            for p in range(6 * q + 1):
+                if np.gcd(p, q) == 1:
+                    pred = predict_state(chain, spec, RevivalFraction(p, q))
+                    assert len(pred.entries) == q, (center, p, q)
+
+
+def test_prediction_warns_on_high_mode_weight(chain500):
+    # a two-site-wide packet puts far more than 1e-6 of its weight above n = (N+1)/4
+    spec = GaussianSpec.from_half_width(center=250.0, half_width=2.0)
+    with pytest.warns(UserWarning, match="outside the low-energy quarter"):
+        predict_state(chain500, spec, RevivalFraction(1, 2))
 
 
 def test_prediction_has_unit_norm(chain500, spec50):
