@@ -69,13 +69,16 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
 
     A uniform grid t_k = t_0 + k Delta (every point within 4 eps max|t| of
     it) is split as k = aB + b, with stride B about sqrt(T):
-    exp(-i E t_k) = exp(-i E t_aB) exp(-i E b Delta).  An anchor table over
-    the grid's own times t[::B] and a B x K step table per state are
-    contracted, so a trace costs (T/B + B) K exponentials and T K
-    multiply-adds per state.  Any other grid takes B = 1, the grid's own
-    phases.  No anchor table and no state's step table exceeds _BLOCK
-    entries.  Unoptimised einsum stays off BLAS, whose threads cost more
-    than they save at these sizes.
+    exp(-i E t_k) = exp(-i E t_aB) exp(-i E Delta)^b.  The anchor table holds
+    direct exponentials at the grid's own times t[::B]; the B x K step table
+    is the cumulative product of one row exp(-i E Delta), whose relative
+    error grows as about b eps.  A trace costs (T/B) K exponentials, B K
+    multiplies and T K multiply-adds per state, the last as K-long dot
+    products of an anchor row with a step row.  Any other grid takes B = 1:
+    the grid's own phases against a step table of ones.  No anchor table and
+    no state's step table exceeds _BLOCK entries.  No matrix product (gemm)
+    is used: at these sizes it wakes BLAS threads that cost more CPU time
+    than they save wall time.
     """
     spectral = to_spectral(chain, initial)
     w = np.abs(spectral.reshape(-1, chain.n_sites)) ** 2
@@ -92,14 +95,17 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     uniform = np.all(drift <= 4 * np.finfo(float).eps * np.abs(times).max())
     anchors_per_table = max(1, _BLOCK // max(modes, 1))
     stride = min(int(np.ceil(np.sqrt(count))), anchors_per_table) if uniform else 1
-    step_phases = np.exp(-1j * np.outer(delta * np.arange(stride), energies))
+    step_phases = np.ones((stride, modes), dtype=complex)
+    if stride > 1:
+        step_phases[1:] = np.exp(-1j * delta * energies)
+        np.cumprod(step_phases, axis=0, out=step_phases)
     steps = (w[:, None, :] * step_phases).reshape(states * stride, modes)
     anchors = times[::stride]
     out = np.empty((2, states, len(anchors) * stride), dtype=complex)
     for s in range(0, len(anchors), anchors_per_table):
         phases = np.exp(-1j * np.outer(anchors[s : s + anchors_per_table], energies))
         odd_sum, even_sum = (
-            np.einsum("an,bn->ab", phases[:, part], steps[:, part], optimize=False)
+            np.matmul(phases[:, None, None, part], steps[None, :, part, None])
             .reshape(len(phases), states, stride).transpose(1, 0, 2).reshape(states, -1)
             for part in (np.s_[:split], np.s_[split:])
         )
@@ -247,6 +253,8 @@ def trace(
         raise ValueError(f"time grid has shape {times.shape}, expected a sequence of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid has non-finite entries")
+    if np.abs(times).max() >= 2**53:  # no fractional part left to label, int64 labels overflow
+        raise ValueError("time grid has entries with |t| >= 2**53")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
 

@@ -378,9 +378,11 @@ def _scenario(entries) -> Scenario:
             k0, k1 = (round(time_start * d), round(time_stop * d)) if d else (0, time_points - 1)
         except OverflowError:  # an end k/d beyond the float range
             k0, k1 = 0, math.inf
-        if k1 - k0 >= _MAX_GRID_POINTS or max(abs(k0), abs(k1)) >= 2**53:
+        ends = max(abs(k0), abs(k1), abs(time_start), abs(time_stop))
+        if k1 - k0 >= _MAX_GRID_POINTS or ends >= 2**53:
             raise ConfigError(entries["time"]["denominator" if d else "points"][1], "time grid "
-                              f"has over {_MAX_GRID_POINTS} points or a k/d with |k| >= 2**53")
+                              f"has over {_MAX_GRID_POINTS} points, or an end at |t| >= 2**53 "
+                              "(|k| >= 2**53 for t = k/d)")
 
     fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
     profiles_at = _get(entries, "metrics", "profiles_at", _list(_finite_float), default=())

@@ -138,6 +138,10 @@ def test_trace_validates_grid(chain500, packet50):
         trace(chain500, packet50, [0.3, 0.1])
     with pytest.raises(ValueError, match="non-finite"):
         trace(chain500, packet50, [0.0, float("inf")])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        trace(chain500, packet50, [1e19, 2e19])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        trace(chain500, packet50, [0.5, 2.0**53])
 
 
 def test_trace_no_mirror_clone_is_nan(chain500, packet50):
@@ -230,6 +234,18 @@ def test_uniform_trace_matches_sum_over_all_modes(case, lo, hi, chain500, packet
     a, f = _full_mode_sum(chain, packet, grid * revival_clock(chain).revival_time)
     np.testing.assert_allclose(result.abs_f_sq, np.abs(f) ** 2, rtol=0, atol=1e-10)
     np.testing.assert_allclose(result.abs_a_sq, np.abs(a) ** 2, rtol=0, atol=1e-10)
+
+
+def test_step_table_matches_sum_over_all_modes(chain500, packet50):
+    # 142 steps per anchor; at these early times float-time rounding is ~1e-13,
+    # so a step or contraction error well below the 1e-10 tolerances shows
+    grid = np.linspace(0.0, 0.05, 20001)
+    result = trace(chain500, packet50, grid, TraceOptions(max_denominator=8))
+    times = grid * revival_clock(chain500).revival_time
+    for chunk in np.array_split(np.arange(len(grid)), 10):
+        a, f = _full_mode_sum(chain500, packet50, times[chunk])
+        np.testing.assert_allclose(result.abs_f_sq[chunk], np.abs(f) ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.abs_a_sq[chunk], np.abs(a) ** 2, rtol=0, atol=1e-12)
 
 
 def test_trace_memory_is_bounded_in_chain_length():

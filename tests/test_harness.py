@@ -143,6 +143,10 @@ def test_out_of_range_integers_are_line_numbered_config_errors(
          11, "time grid has over"),
         ("start = 0.0\nstop = 0.5\npoints = 21",
          "start = 1e16\nstop = 1.0000000000000002e16\ndenominator = 1", 11, r"2\*\*53"),
+        ("start = 0.0\nstop = 0.5\npoints = 21", "start = 1e19\nstop = 2e19\npoints = 3", 11,
+         r"2\*\*53"),
+        ("start = 0.0\nstop = 0.5", "start = -1e307\nstop = 0.0", 11, r"2\*\*53"),
+        ("start = 0.0\nstop = 0.5", f"start = 0.0\nstop = {float(2**53)!r}", 11, r"2\*\*53"),
     ],
 )
 def test_out_of_range_floats_are_line_numbered_config_errors(tmp_path, old, new, line, fragment):
