@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import inner_product, reflect
+from .fidelity import _overlaps
 from .harness import (
     ConfigError,
     estimate_budget,
@@ -68,35 +68,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: str):
-    return parse_config(Path(path).read_text())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = Path(args.config).read_text() if "config" in args else None
         if args.command == "evolve":
-            scenario = _load_scenario(args.config)
-            chain = scenario.chain()
-            state = scenario.initial_state()
+            scenario = parse_config(config)
+            chain, state = scenario.chain(), scenario.initial_state()
             t = args.time * revival_clock(chain).revival_time
             evolved = evolve_exact(chain, state, t)
+            a, f = _overlaps(chain, state, np.array([t]))[:, 0]
             path = write_profile_csv(
                 Path(args.out) / f"{scenario.prefix}_evolved_t{args.time:g}.csv", evolved
             )
-            f = inner_product(reflect(chain, state), evolved)
-            a = inner_product(state, evolved)
             print(f"wrote {path}")
             print(f"t/t_rev = {args.time:g}  |F|^2 = {abs(f)**2:.6f}  |A|^2 = {abs(a)**2:.6f}  "
                   f"norm = {np.linalg.norm(evolved):.12f}")
 
         elif args.command == "trace":
-            scenario = _load_scenario(args.config)
-            for path in run_scenario(scenario, args.out):
+            for path in run_scenario(parse_config(config), args.out):
                 print(f"wrote {path}")
 
         elif args.command == "predict":
-            scenario, fraction = _load_scenario(args.config), args.fraction
+            scenario, fraction = parse_config(config), args.fraction
             prediction = predict_state(scenario.chain(), scenario.gaussian_spec(), fraction)
             print(f"sub-packets at t = {fraction} of t_rev "
                   f"(center {scenario.gaussian_spec().center:g}):")
@@ -112,7 +106,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
 
         elif args.command == "sweep":
-            spec = parse_sweep(Path(args.config).read_text())
+            spec = parse_sweep(config)
             result = run_sweep(spec, args.out)
             for value, metric in result.rows:
                 print(f"{result.variable} = {value:g}  {result.metric} = {metric:.6f}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainSpec, mode_energies, mode_parities, to_spectral
-from .propagator import revival_clock
+from .propagator import _check_instants, revival_clock
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
 
@@ -80,6 +80,7 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     is used: at these sizes it wakes BLAS threads that cost more CPU time
     than they save wall time.
     """
+    _check_instants(chain, times)
     spectral = to_spectral(chain, initial)
     w = np.abs(spectral.reshape(-1, chain.n_sites)) ** 2
     kept = np.any(w > _CUT * w.sum(axis=1, keepdims=True) / chain.n_sites, axis=0)
@@ -253,11 +254,10 @@ def trace(
         raise ValueError(f"time grid has shape {times.shape}, expected a sequence of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid has non-finite entries")
-    if np.abs(times).max() >= 2**53:  # no fractional part left to label, int64 labels overflow
-        raise ValueError("time grid has entries with |t| >= 2**53")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
 
+    # _overlaps rejects |t| >= 2**53 t_rev first, where _labels' int64 numerators overflow
     t_rev = revival_clock(chain).revival_time
     a_vals, f_vals = _overlaps(chain, _one_state(initial), times * t_rev)
     p, q = _labels(grid, times, options.max_denominator)

@@ -19,7 +19,8 @@ Config files are flat key/value text with sections::
     denominator = 840      # exact grid at k/denominator
     [metrics]
     fraction_cap = 128     # rational labelling cap for fractional fidelity
-    profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev)
+    profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev); one at
+                           # |t| >= 2**53 fails the run (exit 1), not the parse
     [output]
     prefix = run
     [sweep]                # only for a sweep
@@ -166,16 +167,12 @@ class Scenario:
         )
 
     def initial_state(self) -> np.ndarray:
-        chain = self.chain()
-        alpha = self.packet_alpha()
-        centers = self.centers()
         if self.kind == "gaussian":
-            return build_gwp(chain, GaussianSpec(center=centers[0], alpha=alpha))
-        weights = self.weights or (1.0,) * len(centers)
-        spec = SuperpositionSpec(
-            centers=centers, weights=tuple(complex(w) for w in weights), alpha=alpha
-        )
-        return build_superposition(chain, spec)
+            return build_gwp(self.chain(), self.gaussian_spec())
+        centers = self.centers()
+        weights = tuple(complex(w) for w in self.weights or (1.0,) * len(centers))
+        spec = SuperpositionSpec(centers=centers, weights=weights, alpha=self.packet_alpha())
+        return build_superposition(self.chain(), spec)
 
     def gaussian_spec(self) -> GaussianSpec:
         if self.kind != "gaussian":
@@ -183,17 +180,24 @@ class Scenario:
         return GaussianSpec(center=self.centers()[0], alpha=self.packet_alpha())
 
     def grid(self):
-        """Time grid in t_rev units: a :class:`DenominatorGrid` when a denominator is set."""
-        if self.time_start is None or self.time_stop is None:
+        """Time grid in t_rev units: a :class:`DenominatorGrid` when a denominator is set.
+
+        A grid of over 2**20 points, or with an end or numerator at |.| >= 2**53,
+        is a ``ValueError`` raised before any of it is built.
+        """
+        start, stop, d = self.time_start, self.time_stop, self.time_denominator
+        if start is None or stop is None or (d is None and self.time_points is None):
             return None
-        if self.time_denominator is not None:
-            d = self.time_denominator
-            k0 = round(self.time_start * d)
-            k1 = round(self.time_stop * d)
+        try:
+            k0, k1 = (round(start * d), round(stop * d)) if d else (0, self.time_points - 1)
+        except OverflowError:  # an end k/d beyond the float range
+            k0, k1 = 0, math.inf
+        if k1 - k0 >= _MAX_GRID_POINTS or max(abs(k0), abs(k1), abs(start), abs(stop)) >= 2**53:
+            raise ValueError(f"time grid has over {_MAX_GRID_POINTS} points, or an end at "
+                             "|t| >= 2**53 (|k| >= 2**53 for t = k/d)")
+        if d:
             return DenominatorGrid(range(k0, k1 + 1), d)
-        if self.time_points is not None:
-            return np.linspace(self.time_start, self.time_stop, self.time_points)
-        return None
+        return np.linspace(start, stop, self.time_points)
 
 
 _CENTER_RE = re.compile(r"^(\d*)N/(\d+)$")
@@ -372,23 +376,12 @@ def _scenario(entries) -> Scenario:
         raise ConfigError(0, "time needs points or denominator")
     if time_points is not None and time_denominator is not None:
         raise ConfigError(0, "time takes points or denominator, not both")
-    if time_start is not None:  # size the grid before any of it exists
-        d = time_denominator
-        try:
-            k0, k1 = (round(time_start * d), round(time_stop * d)) if d else (0, time_points - 1)
-        except OverflowError:  # an end k/d beyond the float range
-            k0, k1 = 0, math.inf
-        ends = max(abs(k0), abs(k1), abs(time_start), abs(time_stop))
-        if k1 - k0 >= _MAX_GRID_POINTS or ends >= 2**53:
-            raise ConfigError(entries["time"]["denominator" if d else "points"][1], "time grid "
-                              f"has over {_MAX_GRID_POINTS} points, or an end at |t| >= 2**53 "
-                              "(|k| >= 2**53 for t = k/d)")
 
     fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
     profiles_at = _get(entries, "metrics", "profiles_at", _list(_finite_float), default=())
     prefix = _get(entries, "output", "prefix", str, default="run")
 
-    return Scenario(
+    scenario = Scenario(
         sites=sites,
         hopping=hopping,
         kind=kind,
@@ -405,6 +398,12 @@ def _scenario(entries) -> Scenario:
         profiles_at=profiles_at,
         prefix=prefix,
     )
+    try:  # the grid's own bounds; a grid within them is cheap next to its trace
+        scenario.grid()
+    except ValueError as exc:
+        key = "denominator" if time_denominator else "points"
+        raise ConfigError(entries["time"][key][1], str(exc)) from None
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -496,13 +495,9 @@ def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
         result = trace(chain, state, grid, TraceOptions(max_denominator=scenario.fraction_cap))
         written.append(write_trace_csv(out / f"{scenario.prefix}_trace.csv", result))
     t_rev = revival_clock(chain).revival_time
-    for pt in scenario.profiles_at:
-        written.append(
-            write_profile_csv(
-                out / f"{scenario.prefix}_profile_t{float(pt):.12g}.csv",
-                evolve_exact(chain, state, float(pt) * t_rev),
-            )
-        )
+    for pt in map(float, scenario.profiles_at):
+        path = out / f"{scenario.prefix}_profile_t{pt:.12g}.csv"
+        written.append(write_profile_csv(path, evolve_exact(chain, state, pt * t_rev)))
     return written
 
 

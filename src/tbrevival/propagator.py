@@ -52,9 +52,17 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
     return n**2 * revival_clock(chain).level_spacing
 
 
+def _check_instants(chain: ChainSpec, times) -> None:
+    """Reject a non-finite time, or one at |t| >= 2**53 t_rev, where one ulp spans a revival."""
+    revivals = np.abs(times).max() / revival_clock(chain).revival_time  # nan if any is nan
+    if not np.isfinite(revivals):
+        raise ValueError(f"time must be finite, got {revivals}")
+    if revivals >= 2**53:
+        raise ValueError(f"time {revivals:g} t_rev is not below 2**53 t_rev")
+
+
 def _evolve(chain: ChainSpec, state: np.ndarray, t: float, energies: np.ndarray) -> np.ndarray:
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+    _check_instants(chain, t)
     return to_position(chain, to_spectral(chain, state) * np.exp(-1j * energies * t))
 
 

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import warnings
 from dataclasses import replace
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tbrevival import (
     ConfigError, NoMirrorCloneError, RevivalFraction, autocorrelation, estimate_budget,
-    fractional_fidelity, mirror_fidelity, parse_config, reproduce, resolve_center, run_scenario,
-    run_sweep, trace,
+    evolve_exact, fractional_fidelity, inner_product, mirror_fidelity, parse_config, reflect,
+    reproduce, resolve_center, revival_clock, run_scenario, run_sweep, trace,
 )
 from tbrevival.cli import build_parser, main as cli_main
 from tbrevival.harness import DenominatorGrid, PRESET_FIGURES, Scenario, SweepSpec, parse_sweep
@@ -413,6 +414,43 @@ def test_denominator_grid_traces_like_its_fractions(monkeypatch, figure, ties):
         [float(f) for f in fractions]).tobytes()
 
 
+@pytest.mark.parametrize("time", [
+    dict(time_start=1e300, time_stop=2e300, time_denominator=840),
+    dict(time_start=1e307, time_stop=2e307, time_denominator=840),
+    dict(time_start=0.0, time_stop=1.0, time_points=2**20 + 1),
+    dict(time_start=0.0, time_stop=2.0**53, time_points=3),
+])
+def test_scenario_grid_is_bounded_before_it_is_built(time):
+    scenario = Scenario(sites=40, center_exprs=("10",), half_width=6.0, **time)
+    with pytest.raises(ValueError, match="time grid has over"):
+        scenario.grid()
+
+
+def test_presets_match_recorded_rows(tmp_path):
+    """All 19 preset CSVs against every 25th and the last row recorded at d326b34.
+
+    Values agree within 1e-10, plus one unit in the 12th significant digit
+    (rtol 1e-11), which is all a 12-digit CSV field resolves: above 10 (the
+    |F_f|^2 = q |F|^2 column) that unit exceeds 1e-10.
+    """
+    reference = json.loads((Path(__file__).parent / "data" / "preset_reference.json").read_text())
+    for figure in sorted(PRESET_FIGURES) + ["fig7"]:
+        reproduce(figure, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(reference)
+    for name, ref in reference.items():
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert (header, len(rows)) == (ref["header"], ref["rows"]), name
+        got, want = ([line.split(",") for line in lines] for lines in (
+            [rows[int(i)] for i in ref["sampled"]], ref["sampled"].values()))
+        if name.endswith("_sweep.csv"):  # the first column names the swept variable
+            assert [g[0] for g in got] == [w[0] for w in want], name
+            got, want = [g[1:] for g in got], [w[1:] for w in want]
+        got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-10, equal_nan=True,
+                                   err_msg=name)
+
+
 def test_run_sweep_width_is_monotone(tmp_path):
     base = Scenario(sites=300, center_exprs=("50",), half_width=24.0, prefix="w")
     spec = SweepSpec(base=base, variable="half_width", values=(8.0, 12.0, 16.0, 20.0, 24.0))
@@ -523,6 +561,11 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
     cfg.write_text(GOOD_CONFIG)
     assert cli_main(["evolve", "--config", str(cfg), "--time", "0.5", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "demo_evolved_t0.5.csv").exists()
+    scenario = parse_config(GOOD_CONFIG)
+    chain, state = scenario.chain(), scenario.initial_state()
+    evolved = evolve_exact(chain, state, 0.5 * revival_clock(chain).revival_time)
+    f, a = inner_product(reflect(chain, state), evolved), inner_product(state, evolved)
+    assert f"|F|^2 = {abs(f)**2:.6f}  |A|^2 = {abs(a)**2:.6f}" in capsys.readouterr().out
     assert cli_main(["predict", "--config", str(cfg), "--fraction", "1/3", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "demo_predicted_p1q3.csv").exists()
     assert cli_main(["predict", "--config", str(cfg), "--fraction", "2/4", "--out", str(tmp_path)]) == 0
@@ -534,6 +577,20 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "4e-06" in out
     assert "2500" in out
+
+
+def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
+    cfg, out = tmp_path / "far.cfg", tmp_path / "out"
+    small = "[chain]\nsites = 40\n[initial]\ncenter = 10\nhalf_width = 6\n"
+    for text, argv in [
+        (small, ["evolve", "--time", "1e305"]),
+        (small + "[metrics]\nprofiles_at = 1e305\n", ["trace"]),
+    ]:
+        cfg.write_text(text)
+        assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**53" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001"])

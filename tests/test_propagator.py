@@ -5,6 +5,7 @@ import scipy.linalg
 from tbrevival import (
     ChainSpec,
     GaussianSpec,
+    autocorrelation,
     build_gwp,
     eigen_modes,
     evolve_exact,
@@ -128,3 +129,15 @@ def test_non_finite_time_is_rejected(t):
         evolve_exact(chain, np.ones(8), t)
     with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
         evolve_quadratic(chain, np.ones(8), t)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_far_time_is_rejected(sign):
+    # at |t| >= 2**53 t_rev one ulp of t spans a revival: no phase is left
+    chain = ChainSpec(8)
+    bound = 2.0**53 * revival_clock(chain).revival_time
+    state = np.ones(8) / np.sqrt(8)
+    for evaluate in (evolve_exact, evolve_quadratic, autocorrelation):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            evaluate(chain, state, sign * bound)
+        evaluate(chain, state, sign * np.nextafter(bound, 0))
