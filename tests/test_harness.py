@@ -440,8 +440,8 @@ def test_presets_match_recorded_rows(tmp_path):
     for name, ref in reference.items():
         header, *rows = (tmp_path / name).read_text().splitlines()
         assert (header, len(rows)) == (ref["header"], ref["rows"]), name
-        got, want = ([line.split(",") for line in lines] for lines in (
-            [rows[int(i)] for i in ref["sampled"]], ref["sampled"].values()))
+        got = [rows[int(i)].split(",") for i in ref["sampled"]]
+        want = [line.split(",") for line in ref["sampled"].values()]
         if name.endswith("_sweep.csv"):  # the first column names the swept variable
             assert [g[0] for g in got] == [w[0] for w in want], name
             got, want = [g[1:] for g in got], [w[1:] for w in want]
