@@ -19,8 +19,8 @@ Config files are flat key/value text with sections::
     denominator = 840      # exact grid at k/denominator
     [metrics]
     fraction_cap = 128     # rational labelling cap for fractional fidelity
-    profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev); one at
-                           # |t| >= 2**53 fails the run (exit 1), not the parse
+    profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev), one stacked evolution;
+                           # one at |t| >= 2**53 fails the run (exit 1), not the parse
     [output]
     prefix = run
     [sweep]                # only for a sweep
@@ -46,8 +46,8 @@ values that share a chain (every value of a ``half_width`` or ``center``
 sweep; each value of a ``sites`` sweep) as one (M, N) stack, in one call
 of the spectral kernel ``fidelity._overlaps``.
 
-CSV schemas (12 significant digits, LF endings; each file is written with
-one %-format):
+CSV schemas (12 significant digits, LF endings; each file is one %-format,
+written once the whole scenario is evaluated, so a failed run writes none):
   trace:   t_over_trev, abs_F_sq, abs_Ff_sq, abs_A_sq
   profile: site, abs_amp
   sweep:   variable, value, metric
@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec
-from .fidelity import _BLOCK, FidelityTrace, TraceOptions, _fractional, _overlaps, trace
+from .fidelity import FidelityTrace, TraceOptions, _fractional, _overlaps, trace
 from .propagator import evolve_exact, revival_clock
 from .revival import RevivalFraction, fourier_period
 from .wavepacket import GaussianSpec, SuperpositionSpec, build_gwp, build_superposition
@@ -308,19 +308,13 @@ def _choice(options: tuple[str, ...]):
 
 
 def revival_fraction(text: str) -> RevivalFraction:
-    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``.
-
-    q is bounded so that its Gauss table, ``fourier_period(q)`` entries, stays
-    within the _BLOCK entries that bound every other table.
-    """
+    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
     try:
         value = Fraction(text)
         float(value)  # p/q must fit a float to become a time
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} is not a fraction p/q with q > 0 that fits a float") from None
-    if fourier_period(value.denominator) > _BLOCK:
-        raise ValueError(f"{text!r} has a denominator whose Gauss table would exceed "
-                         f"{_BLOCK} entries")
+    fourier_period(value.denominator)  # refuses a q whose Gauss table would be too large
     return RevivalFraction(value.numerator, value.denominator)
 
 
@@ -481,24 +475,21 @@ def write_profile_csv(path: Path, amplitudes: np.ndarray) -> Path:
 def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
     """Run a scenario and emit its trace/profile CSVs.
 
-    Output rows always follow the grid order; evaluation is vectorised and
-    pointwise independent, so the bytes do not depend on how the work is
-    scheduled.  Re-running an identical scenario reproduces identical
-    files.
+    Nothing is written until the whole scenario is evaluated: the trace, and
+    every ``profiles_at`` instant in one stacked evolution, so a bad instant
+    leaves no file behind.  Output rows follow the grid order, and re-running
+    an identical scenario reproduces identical files.
     """
-    out = Path(out_dir)
-    chain = scenario.chain()
-    state = scenario.initial_state()
-    written = []
-    grid = scenario.grid()
-    if grid is not None:
-        result = trace(chain, state, grid, TraceOptions(max_denominator=scenario.fraction_cap))
-        written.append(write_trace_csv(out / f"{scenario.prefix}_trace.csv", result))
-    t_rev = revival_clock(chain).revival_time
-    for pt in map(float, scenario.profiles_at):
-        path = out / f"{scenario.prefix}_profile_t{pt:.12g}.csv"
-        written.append(write_profile_csv(path, evolve_exact(chain, state, pt * t_rev)))
-    return written
+    chain, state, grid = scenario.chain(), scenario.initial_state(), scenario.grid()
+    files = [] if grid is None else [
+        ("trace", write_trace_csv, trace(chain, state, grid, TraceOptions(scenario.fraction_cap)))]
+    instants = np.array(scenario.profiles_at, dtype=float)
+    if len(instants):
+        profiles = evolve_exact(chain, state, instants * revival_clock(chain).revival_time)
+        files += [(f"profile_t{pt:.12g}", write_profile_csv, amplitudes)
+                  for pt, amplitudes in zip(instants.tolist(), profiles)]
+    return [write(Path(out_dir, f"{scenario.prefix}_{name}.csv"), data)
+            for name, write, data in files]
 
 
 @dataclass(frozen=True)

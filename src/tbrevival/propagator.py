@@ -54,25 +54,29 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
 
 def _check_instants(chain: ChainSpec, times) -> None:
     """Reject a non-finite time, or one at |t| >= 2**53 t_rev, where one ulp spans a revival."""
-    revivals = np.abs(times).max() / revival_clock(chain).revival_time  # nan if any is nan
-    if not np.isfinite(revivals):
+    revivals = np.abs(times).max(initial=0.0) / revival_clock(chain).revival_time
+    if not np.isfinite(revivals):  # nan if any time is nan; no times give 0
         raise ValueError(f"time must be finite, got {revivals}")
     if revivals >= 2**53:
         raise ValueError(f"time {revivals:g} t_rev is not below 2**53 t_rev")
 
 
-def _evolve(chain: ChainSpec, state: np.ndarray, t: float, energies: np.ndarray) -> np.ndarray:
+def _evolve(chain: ChainSpec, state: np.ndarray, t, energies: np.ndarray) -> np.ndarray:
     _check_instants(chain, t)
-    return to_position(chain, to_spectral(chain, state) * np.exp(-1j * energies * t))
+    return to_position(chain, to_spectral(chain, state)
+                       * np.exp(-1j * energies * np.expand_dims(t, -1)))
 
 
-def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) applied to a position state; negative t evolves backward."""
+def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-iHt) applied to a position state; negative t evolves backward.
+
+    A 1-D array of T instants gives (T, N), one row per instant: one stacked evolution.
+    """
     return _evolve(chain, state, t, mode_energies(chain))
 
 
-def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float) -> np.ndarray:
-    """Evolution with the quadratic spectrum n^2 dE.
+def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Evolution with the quadratic spectrum n^2 dE, at one instant or an array of them.
 
     The constant -2J piece of the expansion is a global phase and is
     dropped; magnitudes are unaffected and the phase conventions of the

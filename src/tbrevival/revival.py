@@ -108,10 +108,13 @@ class RevivalFraction:
 
 
 def fourier_period(q: int) -> int:
-    """Period l of exp(-i p n^2 pi/q) in n: 2q for odd q, q for even q."""
+    """Period l of exp(-i p n^2 pi/q) in n: 2q for odd q, q for even q; a ValueError past 2**18."""
     if q < 1:
         raise ValueError(f"denominator must be >= 1, got {q}")
-    return 2 * q if q % 2 else q
+    l = 2 * q if q % 2 else q
+    if l > 2**18:  # l is the length of p/q's Gauss table
+        raise ValueError("the Gauss table of this denominator would exceed 2**18 entries")
+    return l
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     depends on p only mod 2q; the residue (n^2 mod 2q) p mod 2q is taken in
     integers, which keeps the inverse DFT exact.  Satisfies b_r = b_{l-r} and
     |b_r|^2 in {0, 1/q}; the mirror weight |b_{l/2}| is 1/sqrt(q) for odd p
-    and 0 for even p.
+    and 0 for even p.  A table past 2**18 entries is refused before it is built.
     """
     p, q = fraction.numerator, fraction.denominator
     l = fourier_period(q)

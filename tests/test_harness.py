@@ -585,6 +585,9 @@ def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
     for text, argv in [
         (small, ["evolve", "--time", "1e305"]),
         (small + "[metrics]\nprofiles_at = 1e305\n", ["trace"]),
+        # the trace and the first profile are good, and neither is written
+        (small + "[time]\nstart = 0\nstop = 1\npoints = 11\n"
+         "[metrics]\nprofiles_at = 0.5, 1e305\n", ["trace"]),
     ]:
         cfg.write_text(text)
         assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 1

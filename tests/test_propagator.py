@@ -112,6 +112,17 @@ def test_quadratic_agreement_degrades_with_narrow_packets(chain500, clock500):
     assert overlaps[0] == pytest.approx(0.93828, abs=1e-3)
 
 
+@pytest.mark.parametrize("evolve", [evolve_exact, evolve_quadratic])
+@pytest.mark.parametrize("instants", [[0.0, 0.2, 0.25, 1 / 3, 0.5, 1.0], [-3.5], []])
+def test_instant_array_is_one_call_per_instant(chain500, clock500, packet50, evolve, instants):
+    # one stacked evolution: a row per instant, each bit for bit its own call
+    times = np.array(instants) * clock500.revival_time
+    rows = evolve(chain500, packet50, times)
+    assert rows.shape == (len(times), 500)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, evolve(chain500, packet50, t))
+
+
 def test_profile_basics(chain500, packet50):
     indicator = np.zeros(20, dtype=complex)
     indicator[3] = 1.0

@@ -22,6 +22,7 @@ from tbrevival import (
     spmc_check,
     to_spectral,
 )
+from tbrevival.harness import revival_fraction
 
 ALPHA24 = 2 * np.sqrt(np.log(2)) / 24
 
@@ -47,6 +48,31 @@ def test_fourier_period_rule():
     assert fourier_period(4) == 4
     with pytest.raises(ValueError):
         fourier_period(0)
+
+
+def test_gauss_table_is_bounded_before_it_is_built():
+    # q = 10**9 asks for a 2e9-entry table: 16 GB of int64 indices before any complex one
+    import tracemalloc
+
+    chain = ChainSpec(n_sites=500)
+    spec = GaussianSpec.from_half_width(center=50.0, half_width=24.0)
+    calls = [
+        lambda: gauss_coefficients(RevivalFraction(1, 10**9)),
+        lambda: predict_state(chain, spec, RevivalFraction(1, 10**9)),
+        lambda: revival_fraction("1/1000000000"),
+        lambda: revival_fraction("1/131073"),  # odd q: 2q = 2**18 + 2 entries
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="Gauss table"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the config and CLI reader accepts the largest table gauss_coefficients builds
+    assert gauss_coefficients(revival_fraction("1/262144")).period == 2**18
 
 
 def test_gauss_coefficients_half_revival_closed_form():
