@@ -28,8 +28,15 @@ from .harness import (
     run_sweep,
     write_profile_csv,
 )
-from .propagator import evolve_exact, revival_clock
+from .propagator import _instant_times, evolve_exact
 from .revival import predict_state
+
+
+def _fraction(text: str):
+    try:  # revival_fraction as an argument type, with its own message
+        return revival_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache  # built on the first call, then reused: parse_args keeps no state
@@ -52,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("trace", parents=runs, help="fidelity trace over the configured time grid")
     p = sub.add_parser("predict", parents=runs,
                        help="analytic sub-packet prediction at p/q of t_rev")
-    p.add_argument("--fraction", type=revival_fraction, required=True,
+    p.add_argument("--fraction", type=_fraction, required=True,
                    help="revival fraction, e.g. 1/3")
     sub.add_parser("sweep", parents=runs, help="run the [sweep] section of the config")
 
@@ -75,7 +82,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             scenario = parse_config(config)
             chain, state = scenario.chain(), scenario.initial_state()
-            t = args.time * revival_clock(chain).revival_time
+            t = _instant_times(args.time, chain)
             evolved = evolve_exact(chain, state, t)
             a, f = _overlaps(chain, state, np.array([t]))[:, 0]
             path = write_profile_csv(

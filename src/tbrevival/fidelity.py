@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainSpec, mode_energies, mode_parities, to_spectral
-from .propagator import _check_instants, revival_clock
+from .propagator import _check_instants, _instant_times
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
 
@@ -257,9 +257,8 @@ def trace(
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
 
-    # _overlaps rejects |t| >= 2**53 t_rev first, where _labels' int64 numerators overflow
-    t_rev = revival_clock(chain).revival_time
-    a_vals, f_vals = _overlaps(chain, _one_state(initial), times * t_rev)
+    # the instant rule rejects |g| >= 2**53 first, where _labels' int64 numerators overflow
+    a_vals, f_vals = _overlaps(chain, _one_state(initial), _instant_times(times, chain))
     p, q = _labels(grid, times, options.max_denominator)
     abs_f_sq = np.abs(f_vals) ** 2
     return FidelityTrace(

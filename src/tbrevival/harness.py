@@ -20,14 +20,18 @@ Config files are flat key/value text with sections::
     [metrics]
     fraction_cap = 128     # rational labelling cap for fractional fidelity
     profiles_at = 0.25, 1  # optional profile snapshots (units of t_rev), one stacked evolution;
-                           # one at |t| >= 2**53 fails the run (exit 1), not the parse
+                           # one that breaks the instant rule, or more than 2**23 / sites
+                           # of them, fails the run (exit 1), not the parse
     [output]
     prefix = run
     [sweep]                # only for a sweep
     variable = half_width  # or: sites, center
     values = 8, 12, 16     # each read as the swept key itself is read
     metric = fractional_fidelity  # or: mirror_fidelity, autocorrelation
-    fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0
+    fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0; the instant rule holds
+
+The instant rule: an instant g in units of t_rev is finite with |g| < 2**53,
+and it is checked before it becomes the time g t_rev.
 
 Lines starting with '#' and blank lines are ignored; inline '# ...'
 comments are stripped.  Unknown sections or keys, duplicate keys and
@@ -66,7 +70,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .fidelity import FidelityTrace, TraceOptions, _fractional, _overlaps, trace
-from .propagator import evolve_exact, revival_clock
+from .propagator import _instant_times, evolve_exact
 from .revival import RevivalFraction, fourier_period
 from .wavepacket import GaussianSpec, SuperpositionSpec, build_gwp, build_superposition
 
@@ -311,7 +315,7 @@ def revival_fraction(text: str) -> RevivalFraction:
     """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
     try:
         value = Fraction(text)
-        float(value)  # p/q must fit a float to become a time
+        _instant_times(float(value))  # p/q is an instant: it must pass the instant rule
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} is not a fraction p/q with q > 0 that fits a float") from None
     fourier_period(value.denominator)  # refuses a q whose Gauss table would be too large
@@ -485,7 +489,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
         ("trace", write_trace_csv, trace(chain, state, grid, TraceOptions(scenario.fraction_cap)))]
     instants = np.array(scenario.profiles_at, dtype=float)
     if len(instants):
-        profiles = evolve_exact(chain, state, instants * revival_clock(chain).revival_time)
+        profiles = evolve_exact(chain, state, _instant_times(instants, chain))
         files += [(f"profile_t{pt:.12g}", write_profile_csv, amplitudes)
                   for pt, amplitudes in zip(instants.tolist(), profiles)]
     return [write(Path(out_dir, f"{scenario.prefix}_{name}.csv"), data)

@@ -13,6 +13,12 @@ t_rev = pi/dE every quadratic phase is exp(-i n^2 pi) = (-1)^n, which is
 the mirror parity pattern up to a global sign: the packet reassembles at
 the mirrored position.  Mirror revivals therefore recur at odd multiples
 of t_rev and the packet returns to its own position at even multiples.
+
+The instant rule: an instant g in units of t_rev is finite with |g| < 2**53
+(past it one ulp of g spans a revival), checked on g before it becomes the
+time g t_rev, or on t / t_rev where a time is given.  A stacked evolution
+of more than 2**23 site-profiles (instants x sites) is refused before it
+is built.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ __all__ = [
     "evolve_quadratic",
     "profile",
 ]
+
+# A stacked evolution holds ~65 B per site per instant, so ~550 MB at this size.
+_MAX_SITE_PROFILES = 2**23
 
 
 @dataclass(frozen=True)
@@ -52,19 +61,28 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
     return n**2 * revival_clock(chain).level_spacing
 
 
-def _check_instants(chain: ChainSpec, times) -> None:
-    """Reject a non-finite time, or one at |t| >= 2**53 t_rev, where one ulp spans a revival."""
-    revivals = np.abs(times).max(initial=0.0) / revival_clock(chain).revival_time
-    if not np.isfinite(revivals):  # nan if any time is nan; no times give 0
+def _instant_times(g, chain: ChainSpec | None = None):
+    """g * t_rev after the instant rule on g itself (see above); without a chain, g as it is."""
+    revivals = np.abs(g).max(initial=0.0)
+    if not np.isfinite(revivals):  # nan if any instant is nan; no instants give 0
         raise ValueError(f"time must be finite, got {revivals}")
     if revivals >= 2**53:
         raise ValueError(f"time {revivals:g} t_rev is not below 2**53 t_rev")
+    return g if chain is None else g * revival_clock(chain).revival_time
 
 
-def _evolve(chain: ChainSpec, state: np.ndarray, t, energies: np.ndarray) -> np.ndarray:
+def _check_instants(chain: ChainSpec, times) -> None:
+    """The instant rule on times t, applied to |t| / t_rev."""
+    _instant_times(np.abs(times).max(initial=0.0) / revival_clock(chain).revival_time)
+
+
+def _evolve(chain: ChainSpec, state: np.ndarray, t, energies) -> np.ndarray:
     _check_instants(chain, t)
+    if np.size(t) * chain.n_sites > _MAX_SITE_PROFILES:
+        raise ValueError(f"{np.size(t)} instants x {chain.n_sites} sites exceed the bound of "
+                         f"{_MAX_SITE_PROFILES} site-profiles")
     return to_position(chain, to_spectral(chain, state)
-                       * np.exp(-1j * energies * np.expand_dims(t, -1)))
+                       * np.exp(-1j * energies(chain) * np.expand_dims(t, -1)))
 
 
 def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -72,7 +90,7 @@ def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> 
 
     A 1-D array of T instants gives (T, N), one row per instant: one stacked evolution.
     """
-    return _evolve(chain, state, t, mode_energies(chain))
+    return _evolve(chain, state, t, mode_energies)
 
 
 def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -82,7 +100,7 @@ def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray)
     dropped; magnitudes are unaffected and the phase conventions of the
     analytic revival formulas are defined with it removed.
     """
-    return _evolve(chain, state, t, quadratic_energies(chain))
+    return _evolve(chain, state, t, quadratic_energies)
 
 
 def profile(state: np.ndarray) -> np.ndarray:

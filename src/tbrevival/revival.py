@@ -46,7 +46,7 @@ import numpy as np
 from .chain import (
     ChainSpec, mode_energies, mode_parities, mode_wavenumbers, reflect, to_position, to_spectral,
 )
-from .propagator import quadratic_energies, revival_clock
+from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
     GaussianSpec,
     build_gwp_spectral,
@@ -101,7 +101,7 @@ class RevivalFraction:
         return self.numerator / self.denominator
 
     def time(self, chain: ChainSpec) -> float:
-        return self.value * revival_clock(chain).revival_time
+        return _instant_times(self.value, chain)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

@@ -142,6 +142,8 @@ def test_trace_validates_grid(chain500, packet50):
         trace(chain500, packet50, [1e19, 2e19])
     with pytest.raises(ValueError, match=r"2\*\*53"):
         trace(chain500, packet50, [0.5, 2.0**53])
+    with pytest.raises(ValueError, match=r"2\*\*53"):  # finite, though g * t_rev is not
+        trace(chain500, packet50, [1e306])
 
 
 def test_trace_no_mirror_clone_is_nan(chain500, packet50):

@@ -178,6 +178,7 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "fraction = -1/2", 19, "numerator >= 0"),
         ("fraction = 1/2", "fraction = 1/0", 19, "not a fraction"),
         ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
+        ("fraction = 1/2", "fraction = 1e300", 19, r"2\*\*53 t_rev"),
         ("[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n", "", 0,
          r"missing \[sweep\]"),
     ],
@@ -588,21 +589,31 @@ def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
         # the trace and the first profile are good, and neither is written
         (small + "[time]\nstart = 0\nstop = 1\npoints = 11\n"
          "[metrics]\nprofiles_at = 0.5, 1e305\n", ["trace"]),
+        # finite instants whose time g * t_rev would overflow
+        (small, ["evolve", "--time", "1e306"]),
+        (small + "[metrics]\nprofiles_at = 1e306\n", ["trace"]),
     ]:
         cfg.write_text(text)
-        assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        # a console run would print any RuntimeWarning on stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2**53" in err and err.count("\n") == 1
         assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001"])
-def test_cli_bad_fraction_is_an_argument_error(tmp_path, fraction):
+@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001", "1e300"])
+def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(GOOD_CONFIG)
     with pytest.raises(SystemExit) as err:
         cli_main(["predict", "--config", str(cfg), "--fraction", fraction, "--out", str(tmp_path)])
     assert err.value.code == 2
+    # refused before anything is predicted, printed or written
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["ok.cfg"]
 
 
 def test_cli_parses_each_call_on_its_own(tmp_path, capsys):

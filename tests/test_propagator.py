@@ -152,3 +152,22 @@ def test_far_time_is_rejected(sign):
         with pytest.raises(ValueError, match=r"2\*\*53"):
             evaluate(chain, state, sign * bound)
         evaluate(chain, state, sign * np.nextafter(bound, 0))
+
+
+def test_profile_stack_is_bounded_before_it_is_built():
+    # 9 instants x 2**20 sites pass the 2**23 site-profile bound: ~610 MB of stack
+    import tracemalloc
+
+    chain = ChainSpec(2**20)
+    state = np.zeros(chain.n_sites)
+    state[0] = 1.0
+    times = np.linspace(0.0, 1.0, 9) * revival_clock(chain).revival_time
+    tracemalloc.start()
+    try:
+        for evolve in (evolve_exact, evolve_quadratic):
+            with pytest.raises(ValueError, match="site-profiles"):
+                evolve(chain, state, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
