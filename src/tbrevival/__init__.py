@@ -4,76 +4,22 @@ Exact spectral time evolution of states on an open uniform-hopping chain,
 Gaussian wave-packet construction, closed-form fractional-revival
 predictions via Gauss sums, fidelity diagnostics, and a reproduction
 harness for the standard revival experiments.
+
+The public names are each module's ``__all__``, re-exported here.
 """
 
-from .chain import (
-    ChainSpec,
-    EigenMode,
-    eigen_modes,
-    hamiltonian_matrix,
-    inner_product,
-    mode_energies,
-    mode_parities,
-    mode_wavenumbers,
-    reflect,
-    to_position,
-    to_spectral,
-)
-from .fidelity import (
-    FidelityTrace,
-    NoMirrorCloneError,
-    TraceOptions,
-    autocorrelation,
-    find_peaks,
-    fractional_fidelity,
-    mirror_fidelity,
-    trace,
-)
-from .harness import (
-    BudgetReport,
-    ConfigError,
-    Scenario,
-    SweepResult,
-    SweepSpec,
-    estimate_budget,
-    parse_config,
-    reproduce,
-    resolve_center,
-    run_scenario,
-    run_sweep,
-)
-from .propagator import (
-    RevivalClock,
-    evolve_exact,
-    evolve_quadratic,
-    profile,
-    quadratic_energies,
-    revival_clock,
-)
-from .revival import (
-    CloneEntry,
-    GaussCoefficients,
-    RevivalFraction,
-    SpmcReport,
-    SubPacketPrediction,
-    effective_period,
-    fold_center,
-    fourier_period,
-    gauss_coefficients,
-    is_commensurate,
-    predict_state,
-    spmc_check,
-)
-from .wavepacket import (
-    SURVIVOR_TOLERANCE,
-    GaussianSpec,
-    SuperpositionSpec,
-    build_gwp,
-    build_gwp_spectral,
-    build_superposition,
-    high_mode_weight,
-    packet_overlap,
-    surviving_modes,
-)
+from . import chain, fidelity, harness, propagator, revival, wavepacket
+from .chain import *
+from .fidelity import *
+from .harness import *
+from .propagator import *
+from .revival import *
+from .wavepacket import *
+
+__all__ = [
+    name
+    for module in (chain, fidelity, harness, propagator, revival, wavepacket)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

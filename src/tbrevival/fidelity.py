@@ -50,6 +50,8 @@ class NoMirrorCloneError(ValueError):
 _BLOCK = 2**18
 # Modes with w_n <= _CUT * sum(w) / N are left out of _overlaps' sum.
 _CUT = np.finfo(float).eps
+# Points x kept modes x states per _overlaps call: ~20 s at ~4.7 ns per point-mode.
+_MAX_TRACE_WORK = 2**32
 
 
 def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -76,9 +78,10 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     multiplies and T K multiply-adds per state, the last as K-long dot
     products of an anchor row with a step row.  Any other grid takes B = 1:
     the grid's own phases against a step table of ones.  No anchor table and
-    no state's step table exceeds _BLOCK entries.  No matrix product (gemm)
-    is used: at these sizes it wakes BLAS threads that cost more CPU time
-    than they save wall time.
+    no state's step table exceeds _BLOCK entries, and a call of over
+    _MAX_TRACE_WORK points x kept modes x states is refused before any
+    table is built.  No matrix product (gemm) is used: at these sizes it
+    wakes BLAS threads that cost more CPU time than they save wall time.
     """
     _check_instants(chain, times)
     spectral = to_spectral(chain, initial)
@@ -89,8 +92,11 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     split = np.count_nonzero(odd)
     w, energies = w[:, order], mode_energies(chain)[order]
     states, modes = w.shape
-
     count = len(times)
+    if count * modes * states > _MAX_TRACE_WORK:
+        raise ValueError(f"{count} points x {modes} kept modes x {states} states exceed the "
+                         f"bound of {_MAX_TRACE_WORK} point-modes")
+
     delta = (times[-1] - times[0]) / max(count - 1, 1)
     drift = np.abs(times - (times[0] + delta * np.arange(count)))
     uniform = np.all(drift <= 4 * np.finfo(float).eps * np.abs(times).max())

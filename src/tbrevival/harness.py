@@ -59,6 +59,7 @@ written once the whole scenario is evaluated, so a failed run writes none):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -479,19 +480,20 @@ def write_profile_csv(path: Path, amplitudes: np.ndarray) -> Path:
 def run_scenario(scenario: Scenario, out_dir) -> list[Path]:
     """Run a scenario and emit its trace/profile CSVs.
 
-    Nothing is written until the whole scenario is evaluated: the trace, and
-    every ``profiles_at`` instant in one stacked evolution, so a bad instant
-    leaves no file behind.  Output rows follow the grid order, and re-running
-    an identical scenario reproduces identical files.
+    Nothing is written until the whole scenario is evaluated: every
+    ``profiles_at`` instant in one stacked evolution, then the trace, so a
+    bad instant or an over-bound profile stack is refused before any trace
+    work and leaves no file behind.  The trace is written first.  Output
+    rows follow the grid order, and re-running an identical scenario
+    reproduces identical files.
     """
     chain, state, grid = scenario.chain(), scenario.initial_state(), scenario.grid()
+    instants = np.array(scenario.profiles_at, dtype=float)
+    profiles = evolve_exact(chain, state, _instant_times(instants, chain)) if len(instants) else ()
     files = [] if grid is None else [
         ("trace", write_trace_csv, trace(chain, state, grid, TraceOptions(scenario.fraction_cap)))]
-    instants = np.array(scenario.profiles_at, dtype=float)
-    if len(instants):
-        profiles = evolve_exact(chain, state, _instant_times(instants, chain))
-        files += [(f"profile_t{pt:.12g}", write_profile_csv, amplitudes)
-                  for pt, amplitudes in zip(instants.tolist(), profiles)]
+    files += [(f"profile_t{pt:.12g}", write_profile_csv, amplitudes)
+              for pt, amplitudes in zip(instants.tolist(), profiles)]
     return [write(Path(out_dir, f"{scenario.prefix}_{name}.csv"), data)
             for name, write, data in files]
 
@@ -640,11 +642,7 @@ def estimate_budget(
     )
 
 
-def _preset_scenario(**kwargs) -> Scenario:
-    defaults = dict(sites=500, hopping=1.0, half_width=24.0)
-    defaults.update(kwargs)
-    return Scenario(**defaults)
-
+_preset_scenario = functools.partial(Scenario, sites=500, half_width=24.0)
 
 PRESET_FIGURES = {
     "fig2a": _preset_scenario(
@@ -681,30 +679,25 @@ PRESET_FIGURES = {
     ),
 }
 
-_FIG7_WIDTHS = tuple(float(w) for w in range(4, 29, 2))
-_FIG7_SIZES = (300, 400, 500, 600, 700)
+# fig7: |F_f|^2 at t_rev/2 against the packet width, one sweep per chain size.
+_PRESET_SWEEPS = {
+    "fig7": tuple(
+        SweepSpec(
+            base=_preset_scenario(sites=sites, center_exprs=("50",), prefix=f"fig7_sites{sites}"),
+            variable="half_width",
+            values=tuple(float(w) for w in range(4, 29, 2)),
+        )
+        for sites in (300, 400, 500, 600, 700)
+    ),
+}
 
 
 def reproduce(figure_id: str, out_dir) -> list[Path]:
     """Run one figure preset end to end; returns the files written."""
-    out = Path(out_dir)
     if figure_id in PRESET_FIGURES:
-        return run_scenario(PRESET_FIGURES[figure_id], out)
-    if figure_id == "fig7":
-        written = []
-        for sites in _FIG7_SIZES:
-            spec = SweepSpec(
-                base=_preset_scenario(
-                    sites=sites, center_exprs=("50",), prefix=f"fig7_sites{sites}"
-                ),
-                variable="half_width",
-                values=_FIG7_WIDTHS,
-                metric="fractional_fidelity",
-                fraction=Fraction(1, 2),
-            )
-            result = run_sweep(spec, out)
-            written.append(result.path)
-        return written
+        return run_scenario(PRESET_FIGURES[figure_id], out_dir)
+    if figure_id in _PRESET_SWEEPS:
+        return [run_sweep(spec, out_dir).path for spec in _PRESET_SWEEPS[figure_id]]
     raise ValueError(
-        f"unknown figure id {figure_id!r}; known: {sorted(PRESET_FIGURES) + ['fig7']}"
+        f"unknown figure id {figure_id!r}; known: {sorted([*PRESET_FIGURES, *_PRESET_SWEEPS])}"
     )

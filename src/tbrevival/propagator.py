@@ -16,9 +16,9 @@ of t_rev and the packet returns to its own position at even multiples.
 
 The instant rule: an instant g in units of t_rev is finite with |g| < 2**53
 (past it one ulp of g spans a revival), checked on g before it becomes the
-time g t_rev, or on t / t_rev where a time is given.  A stacked evolution
-of more than 2**23 site-profiles (instants x sites) is refused before it
-is built.
+time g t_rev, which must then be a finite float, or on t / t_rev where a
+time is given.  A stacked evolution of more than 2**23 site-profiles
+(instants x sites) is refused before it is built.
 """
 
 from __future__ import annotations
@@ -63,12 +63,17 @@ def quadratic_energies(chain: ChainSpec) -> np.ndarray:
 
 def _instant_times(g, chain: ChainSpec | None = None):
     """g * t_rev after the instant rule on g itself (see above); without a chain, g as it is."""
-    revivals = np.abs(g).max(initial=0.0)
+    revivals = float(np.abs(g).max(initial=0.0))
     if not np.isfinite(revivals):  # nan if any instant is nan; no instants give 0
         raise ValueError(f"time must be finite, got {revivals}")
     if revivals >= 2**53:
         raise ValueError(f"time {revivals:g} t_rev is not below 2**53 t_rev")
-    return g if chain is None else g * revival_clock(chain).revival_time
+    if chain is None:
+        return g
+    t_rev = revival_clock(chain).revival_time
+    if revivals * t_rev == np.inf:  # Python floats: overflows to inf, with no warning
+        raise ValueError(f"time {revivals:g} t_rev is not a finite float at t_rev = {t_rev:g}")
+    return g * t_rev
 
 
 def _check_instants(chain: ChainSpec, times) -> None:

@@ -75,7 +75,7 @@ _SUPPORT_WEIGHT = 1 - 1e-6  # a packet's support: the fewest modes carrying this
 
 @dataclass(frozen=True)
 class RevivalFraction:
-    """Reduced fraction p/q of the revival time."""
+    """Reduced fraction p/q of the revival time; the instant rule holds, as p < 2**53 q."""
 
     numerator: int
     denominator: int
@@ -86,10 +86,13 @@ class RevivalFraction:
             raise ValueError("fraction parts must be integers")
         if q < 1 or p < 0:
             raise ValueError(f"need numerator >= 0 and denominator >= 1, got {p}/{q}")
-        if gcd(int(p), int(q)) != 1:
+        p, q = int(p), int(q)
+        if p >= 2**53 * q:  # in integers: p/q itself may be past the float range
+            raise ValueError("fraction p/q is not below 2**53 t_rev")
+        if gcd(p, q) != 1:
             raise ValueError(f"{p}/{q} is not reduced")
-        object.__setattr__(self, "numerator", int(p))
-        object.__setattr__(self, "denominator", int(q))
+        object.__setattr__(self, "numerator", p)
+        object.__setattr__(self, "denominator", q)
 
     @classmethod
     def from_float(cls, value: float, max_denominator: int = 128) -> "RevivalFraction":

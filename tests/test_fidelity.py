@@ -190,6 +190,25 @@ def test_trace_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+def test_trace_work_is_bounded_before_any_phase_table():
+    # a one-site-wide packet keeps all 2**16 modes: 2**16 + 1 points are over 2**32
+    import tracemalloc
+
+    chain = ChainSpec(n_sites=2**16)
+    packet = build_gwp(chain, GaussianSpec.from_half_width(center=100.0, half_width=1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="65537 points x 65536 kept modes x 1 states"):
+            trace(chain, packet, np.linspace(0.0, 1.0, 2**16 + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # a stack counts its states: half the points for each of two states are over it too
+    with pytest.raises(ValueError, match="2 states"):
+        _overlaps(chain, np.array([packet, packet]), np.linspace(0.0, 1.0, 2**15 + 1))
+
+
 def _full_mode_sum(chain, state, times):
     # every one of the N modes, weights from scipy's orthonormal DST-I
     c = scipy.fft.dst(state, type=1, norm="ortho")

@@ -583,15 +583,20 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
 def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
     cfg, out = tmp_path / "far.cfg", tmp_path / "out"
     small = "[chain]\nsites = 40\n[initial]\ncenter = 10\nhalf_width = 6\n"
-    for text, argv in [
-        (small, ["evolve", "--time", "1e305"]),
-        (small + "[metrics]\nprofiles_at = 1e305\n", ["trace"]),
+    # t_rev ~ 5.4e302: a g inside 2**53 whose time g * t_rev is not a finite float
+    tiny = small.replace("sites = 40\n", "sites = 40\nhopping = 1e-300\n")
+    for text, argv, bound in [
+        (small, ["evolve", "--time", "1e305"], "2**53"),
+        (small + "[metrics]\nprofiles_at = 1e305\n", ["trace"], "2**53"),
         # the trace and the first profile are good, and neither is written
         (small + "[time]\nstart = 0\nstop = 1\npoints = 11\n"
-         "[metrics]\nprofiles_at = 0.5, 1e305\n", ["trace"]),
+         "[metrics]\nprofiles_at = 0.5, 1e305\n", ["trace"], "2**53"),
         # finite instants whose time g * t_rev would overflow
-        (small, ["evolve", "--time", "1e306"]),
-        (small + "[metrics]\nprofiles_at = 1e306\n", ["trace"]),
+        (small, ["evolve", "--time", "1e306"], "2**53"),
+        (small + "[metrics]\nprofiles_at = 1e306\n", ["trace"], "2**53"),
+        (tiny, ["evolve", "--time", "1e6"], "1e+06 t_rev is not a finite float at t_rev = 5.35"),
+        (tiny + "[metrics]\nprofiles_at = 1e6\n", ["trace"],
+         "1e+06 t_rev is not a finite float at t_rev = 5.35"),
     ]:
         cfg.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
@@ -600,8 +605,47 @@ def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
         # a console run would print any RuntimeWarning on stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "2**53" in err and err.count("\n") == 1
+        assert err.startswith("error: ") and bound in err and err.count("\n") == 1
         assert not out.exists()
+
+
+# 2**20 sites: 9 profiles pass the 2**23 site-profile bound, and a one-site-wide
+# packet keeps every mode, so the 20001-point trace alone would take minutes
+OVER_BOUND_PROFILES = """\
+[chain]
+sites = 1048576
+[initial]
+center = 100
+half_width = 1
+[time]
+start = 0
+stop = 1
+points = 20001
+[metrics]
+profiles_at = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
+"""
+
+
+def test_profiles_are_refused_before_any_trace_work(tmp_path, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("the trace ran before the profiles were evaluated")
+
+    monkeypatch.setattr("tbrevival.harness.trace", no_trace)
+    with pytest.raises(ValueError, match="site-profiles"):
+        run_scenario(parse_config(OVER_BOUND_PROFILES), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_trace_over_the_work_bound_fails_cleanly(tmp_path, capsys):
+    # 2**16 kept modes x (2**16 + 1) points is just over the 2**32 trace-work bound
+    cfg, out = tmp_path / "big.cfg", tmp_path / "out"
+    cfg.write_text("[chain]\nsites = 65536\n[initial]\ncenter = 100\nhalf_width = 1\n"
+                   "[time]\nstart = 0\nstop = 1\npoints = 65537\n")
+    assert cli_main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4294967296 point-modes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001", "1e300"])

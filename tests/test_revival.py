@@ -14,6 +14,7 @@ from tbrevival import (
     evolve_quadratic,
     fold_center,
     fourier_period,
+    fractional_fidelity,
     gauss_coefficients,
     inner_product,
     is_commensurate,
@@ -39,6 +40,24 @@ def test_revival_fraction_validation():
     frac = RevivalFraction.from_float(0.25)
     assert (frac.numerator, frac.denominator) == (1, 4)
     assert RevivalFraction(0, 1).value == 0.0
+
+
+def test_revival_fraction_applies_the_instant_rule_in_integers():
+    # 10**400 / 1 is past the float range: p < 2**53 q is checked on the integers
+    chain = ChainSpec(n_sites=40)
+    spec = GaussianSpec.from_half_width(center=10.0, half_width=6.0)
+    calls = [
+        lambda: RevivalFraction(10**400, 1),
+        lambda: RevivalFraction(10**400, 1).time(chain),
+        lambda: fractional_fidelity(chain, spec, RevivalFraction(10**400, 1)),
+        lambda: RevivalFraction(2**53, 1),
+        lambda: RevivalFraction(2**53 * 3 + 1, 3),
+        lambda: RevivalFraction.from_float(1e300),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"2\*\*53 t_rev"):
+            call()
+    assert RevivalFraction(2**53 * 3 - 1, 3).numerator == 2**53 * 3 - 1
 
 
 def test_fourier_period_rule():
