@@ -138,7 +138,11 @@ class DenominatorGrid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated run description (centers still symbolic, see resolve_center)."""
+    """A run description (centers still symbolic, see resolve_center).
+
+    Its field defaults are a config's.  A parsed config is fully validated; built directly,
+    a scenario refuses an unknown kind or no center at once and checks the rest when used.
+    """
 
     sites: int
     hopping: float = 1.0
@@ -152,9 +156,15 @@ class Scenario:
     time_stop: float | None = None
     time_points: int | None = None
     time_denominator: int | None = None
-    fraction_cap: int = 128
+    fraction_cap: int = TraceOptions.max_denominator
     profiles_at: tuple[float, ...] = ()
     prefix: str = "run"
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind {self.kind!r} is not one of {', '.join(_KINDS)}")
+        if not self.center_exprs:
+            raise ValueError(f"center_exprs {self.center_exprs!r} names no center")
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=self.sites, hopping=self.hopping)
@@ -211,6 +221,8 @@ _CENTER_PLUS_RE = re.compile(r"^(\d*)\(N\+1\)/(\d+)$")
 
 def resolve_center(expr: str, sites: int, convention: str = "plus-one") -> float:
     """Resolve a center expression to a site coordinate for a given chain size."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention {convention!r} is not one of {', '.join(_CONVENTIONS)}")
     text = expr.replace(" ", "")
     m = _CENTER_PLUS_RE.match(text) or _CENTER_RE.match(text)
     if m:
@@ -336,11 +348,15 @@ def parse_config(text: str) -> Scenario:
 
 def _scenario(entries) -> Scenario:
     sites = _get(entries, "chain", "sites", lambda v: ChainSpec(int(v)).n_sites, required=True)
-    hopping = _get(entries, "chain", "hopping",
-                   lambda v: ChainSpec(sites, _finite_float(v)).hopping, default=1.0)
+    given = {"sites": sites}  # None marks a key the config omits: Scenario's default holds
 
-    kind = _get(entries, "initial", "kind", _choice(_KINDS), default="gaussian")
-    convention = _get(entries, "initial", "convention", _choice(_CONVENTIONS), default="plus-one")
+    def keep(section, key, convert, field=None):
+        given[field or key] = value = _get(entries, section, key, convert)
+        return value
+
+    keep("chain", "hopping", lambda v: ChainSpec(sites, _finite_float(v)).hopping)
+    kind = keep("initial", "kind", _choice(_KINDS)) or Scenario.kind
+    convention = keep("initial", "convention", _choice(_CONVENTIONS)) or Scenario.convention
 
     def center(expr: str) -> str:
         resolve_center(expr, sites, convention)
@@ -350,22 +366,22 @@ def _scenario(entries) -> Scenario:
         key, read = "center", lambda v: (center(v),)
     else:
         key, read = "centers", _list(center)
-    center_exprs = _get(entries, "initial", key, read)
+    center_exprs = keep("initial", key, read, "center_exprs")
     if center_exprs is None:
         raise ConfigError(0, f"{kind} initial needs {key}")
-    weights = _get(entries, "initial", "weights", _list(_finite_float))
+    weights = keep("initial", "weights", _list(_finite_float))
     if weights is not None and len(weights) != len(center_exprs):
         _, lineno = entries["initial"]["weights"]
         raise ConfigError(lineno, "weights must match the number of centers")
-    half_width = _get(entries, "initial", "half_width", _positive_float)
-    alpha = _get(entries, "initial", "alpha", _positive_float)
+    half_width = keep("initial", "half_width", _positive_float)
+    alpha = keep("initial", "alpha", _positive_float)
     if (half_width is None) == (alpha is None):
         raise ConfigError(0, "initial needs exactly one of half_width or alpha")
 
-    time_start = _get(entries, "time", "start", _finite_float)
-    time_stop = _get(entries, "time", "stop", _finite_float)
-    time_points = _get(entries, "time", "points", _positive_int)
-    time_denominator = _get(entries, "time", "denominator", _positive_int)
+    time_start = keep("time", "start", _finite_float, "time_start")
+    time_stop = keep("time", "stop", _finite_float, "time_stop")
+    time_points = keep("time", "points", _positive_int, "time_points")
+    time_denominator = keep("time", "denominator", _positive_int, "time_denominator")
     if (time_start is None) != (time_stop is None):
         raise ConfigError(0, "time needs both start and stop")
     if time_start is not None and time_start >= time_stop:
@@ -376,27 +392,13 @@ def _scenario(entries) -> Scenario:
     if time_points is not None and time_denominator is not None:
         raise ConfigError(0, "time takes points or denominator, not both")
 
-    fraction_cap = _get(entries, "metrics", "fraction_cap", _positive_int, default=128)
-    profiles_at = _get(entries, "metrics", "profiles_at", _list(_finite_float), default=())
-    prefix = _get(entries, "output", "prefix", str, default="run")
+    keep("metrics", "fraction_cap", _positive_int)
+    keep("metrics", "profiles_at", _list(_finite_float))
+    keep("output", "prefix", str)
 
-    scenario = Scenario(
-        sites=sites,
-        hopping=hopping,
-        kind=kind,
-        center_exprs=center_exprs,
-        weights=weights,
-        half_width=half_width,
-        alpha=alpha,
-        convention=convention,
-        time_start=time_start,
-        time_stop=time_stop,
-        time_points=time_points,
-        time_denominator=time_denominator,
-        fraction_cap=fraction_cap,
-        profiles_at=profiles_at,
-        prefix=prefix,
-    )
+    if not center_exprs:  # checked last, so every other error reads as it did
+        raise ConfigError(entries["initial"][key][1], f"{key} is empty")
+    scenario = Scenario(**{field: value for field, value in given.items() if value is not None})
     try:  # the grid's own bounds; a grid within them is cheap next to its trace
         scenario.grid()
     except ValueError as exc:
@@ -437,9 +439,8 @@ def parse_sweep(text: str) -> SweepSpec:
         "center": lambda v: resolve_center(v, base.sites, base.convention),
     }[variable]
     values = _get(entries, "sweep", "values", _list(swept), required=True)
-    metric = _get(entries, "sweep", "metric", _choice(_SWEEP_METRICS),
-                  default="fractional_fidelity")
-    fraction = _get(entries, "sweep", "fraction", revival_fraction, default=RevivalFraction(1, 2))
+    metric = _get(entries, "sweep", "metric", _choice(_SWEEP_METRICS), default=SweepSpec.metric)
+    fraction = _get(entries, "sweep", "fraction", revival_fraction, default=SweepSpec.fraction)
     try:
         return SweepSpec(
             base=base, variable=variable, values=values, metric=metric,

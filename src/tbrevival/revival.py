@@ -47,12 +47,7 @@ from .chain import (
     ChainSpec, mode_energies, mode_parities, mode_wavenumbers, reflect, to_position, to_spectral,
 )
 from .propagator import _instant_times, quadratic_energies, revival_clock
-from .wavepacket import (
-    GaussianSpec,
-    build_gwp_spectral,
-    high_mode_weight,
-    surviving_modes,
-)
+from .wavepacket import GaussianSpec, _unit, build_gwp_spectral, high_mode_weight, surviving_modes
 
 __all__ = [
     "RevivalFraction",
@@ -82,8 +77,12 @@ class RevivalFraction:
 
     def __post_init__(self) -> None:
         p, q = self.numerator, self.denominator
-        if int(p) != p or int(q) != q:
-            raise ValueError("fraction parts must be integers")
+        try:
+            whole = int(p) == p and int(q) == q
+        except (OverflowError, ValueError):  # an infinite or nan part
+            whole = False
+        if not whole:
+            raise ValueError(f"fraction parts must be integers, got {p!r}/{q!r}")
         if q < 1 or p < 0:
             raise ValueError(f"need numerator >= 0 and denominator >= 1, got {p}/{q}")
         p, q = int(p), int(q)
@@ -231,12 +230,10 @@ def predict_state(
 
     k = mode_wavenumbers(chain)
     coeff = sum(e.weight * np.sin(k * e.center) for e in entries)
-    coeff = coeff * np.exp(-(k**2) / (2.0 * spec.alpha**2))
-    norm = np.linalg.norm(coeff)
-    if norm == 0:
-        raise ValueError("predicted clones cancel exactly; no state to assemble")
+    coeff = _unit(coeff * np.exp(-(k**2) / (2.0 * spec.alpha**2)),
+                  "predicted clones cancel exactly or are not finite; no state to assemble")
     return SubPacketPrediction(chain=chain, spec=spec, fraction=fraction,
-                               entries=tuple(entries), state=to_position(chain, coeff / norm))
+                               entries=tuple(entries), state=to_position(chain, coeff))
 
 
 @dataclass(frozen=True)

@@ -100,17 +100,22 @@ def _warn_if_not_contained(chain: ChainSpec, spec: GaussianSpec) -> None:
         )
 
 
+def _unit(vector: np.ndarray, message: str) -> np.ndarray:
+    """``vector`` over its norm; ``ValueError(message)`` when the norm is 0 or not finite."""
+    norm = np.linalg.norm(vector)
+    if not 0 < norm < np.inf:
+        raise ValueError(message)
+    return vector / norm
+
+
 def build_gwp(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
     """Normalised Gaussian packet in position space."""
     _warn_if_not_contained(chain, spec)
     j = np.arange(1, chain.n_sites + 1, dtype=float)
     # numpy's power overflows to inf where a Python float's would raise
     amps = np.exp(-np.float64(spec.alpha) ** 2 * (j - spec.center) ** 2 / 2.0).astype(complex)
-    norm = np.linalg.norm(amps)
-    if not norm > 0:
-        raise ValueError(f"packet at {spec.center} with alpha {spec.alpha:.3g} "
-                         f"has no finite weight on the chain")
-    return amps / norm
+    return _unit(amps, f"packet at {spec.center} with alpha {spec.alpha:.3g} "
+                       "has no finite weight on the chain")
 
 
 def build_gwp_spectral(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
@@ -123,10 +128,7 @@ def build_gwp_spectral(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
     _warn_if_not_contained(chain, spec)
     k = mode_wavenumbers(chain)
     coeff = (np.sin(k * spec.center) * np.exp(-(k**2) / (2.0 * spec.alpha**2))).astype(complex)
-    norm = np.linalg.norm(coeff)
-    if norm == 0:
-        raise ValueError(f"packet at center {spec.center} has no spectral weight")
-    return coeff / norm
+    return _unit(coeff, f"packet at center {spec.center} has no finite spectral weight")
 
 
 def build_superposition(chain: ChainSpec, spec: SuperpositionSpec) -> np.ndarray:
@@ -138,10 +140,7 @@ def build_superposition(chain: ChainSpec, spec: SuperpositionSpec) -> np.ndarray
     state = np.zeros(chain.n_sites, dtype=complex)
     for center, weight in zip(spec.centers, spec.weights):
         state += weight * build_gwp(chain, GaussianSpec(center=center, alpha=spec.alpha))
-    norm = np.linalg.norm(state)
-    if norm == 0:
-        raise ValueError("superposition components cancel exactly")
-    return state / norm
+    return _unit(state, "superposition components cancel exactly or are not finite")
 
 
 def packet_overlap(chain: ChainSpec, spec_a: GaussianSpec, spec_b: GaussianSpec) -> float:

@@ -48,6 +48,26 @@ def test_resolve_center_expressions():
         resolve_center("inf", 500)
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        pytest.param(lambda: Scenario(sites=500, half_width=24.0).initial_state(),
+                     r"center_exprs \(\) names no center", id="no-center"),
+        pytest.param(lambda: Scenario(sites=500, half_width=24.0, kind="bogus",
+                                      center_exprs=("N/3", "2N/3")).initial_state(),
+                     "kind 'bogus'", id="bogus-kind"),
+        pytest.param(lambda: resolve_center("N/3", 500, "bogus"),
+                     "convention 'bogus'", id="bogus-convention"),
+        pytest.param(lambda: Scenario(sites=500, half_width=24.0, center_exprs=("N/3",),
+                                      convention="bogus").initial_state(),
+                     "convention 'bogus'", id="bogus-scenario-convention"),
+    ],
+)
+def test_direct_scenario_input_fails_cleanly(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 def test_parse_config_happy_path():
     scenario = parse_config(GOOD_CONFIG)
     assert scenario.sites == 120
@@ -300,6 +320,9 @@ def test_parse_config_missing_required():
         parse_config("[initial]\nkind = gaussian\ncenter = 5\nhalf_width = 4\n")
     with pytest.raises(ConfigError, match="half_width or alpha"):
         parse_config("[chain]\nsites = 50\n[initial]\nkind = gaussian\ncenter = 5\n")
+    with pytest.raises(ConfigError, match="line 5: centers is empty"):
+        parse_config("[chain]\nsites = 50\n[initial]\nkind = superposition\n"
+                     "centers =\nhalf_width = 4\n")
 
 
 def test_parse_config_weights_length():

@@ -35,8 +35,10 @@ def test_revival_fraction_validation():
         RevivalFraction(1, 0)
     with pytest.raises(ValueError):
         RevivalFraction(-1, 3)
-    with pytest.raises(ValueError, match="must be integers"):
-        RevivalFraction(1.5, 2)
+    for p, q in [(1.5, 2), (float("inf"), 1), (1, float("inf")), (float("-inf"), 1),
+                 (float("nan"), 1)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            RevivalFraction(p, q)
     frac = RevivalFraction.from_float(0.25)
     assert (frac.numerator, frac.denominator) == (1, 4)
     assert RevivalFraction(0, 1).value == 0.0

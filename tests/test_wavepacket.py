@@ -4,6 +4,7 @@ import pytest
 from tbrevival import (
     ChainSpec,
     GaussianSpec,
+    RevivalFraction,
     SuperpositionSpec,
     build_gwp,
     build_gwp_spectral,
@@ -11,6 +12,7 @@ from tbrevival import (
     high_mode_weight,
     inner_product,
     packet_overlap,
+    predict_state,
     reflect,
     surviving_modes,
     to_spectral,
@@ -128,6 +130,33 @@ def test_superposition_vanishing_levels(chain500):
 def test_superposition_empty_rejected():
     with pytest.raises(ValueError):
         SuperpositionSpec(centers=(), weights=(), alpha=0.1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.filterwarnings("ignore:packet at")
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        pytest.param(lambda c: build_gwp(c, GaussianSpec(center=1e4, alpha=1.0)),
+                     "no finite weight on the chain", id="underflow"),
+        pytest.param(lambda c: build_gwp_spectral(c, GaussianSpec(center=NAN, alpha=0.2)),
+                     "no finite spectral weight", id="spectral-nan-center"),
+        pytest.param(lambda c: build_superposition(
+                         c, SuperpositionSpec(centers=(20.0, 20.0), weights=(1, -1), alpha=0.2)),
+                     "cancel exactly or are not finite", id="cancelling"),
+        pytest.param(lambda c: build_superposition(
+                         c, SuperpositionSpec(centers=(10.0, 30.0), weights=(1, NAN), alpha=0.2)),
+                     "cancel exactly or are not finite", id="nan-weight"),
+        pytest.param(lambda c: predict_state(c, GaussianSpec(center=NAN, alpha=0.2),
+                                             RevivalFraction(1, 2)),
+                     "no finite spectral weight", id="predict-nan-center"),
+    ],
+)
+def test_builders_refuse_a_state_without_finite_weight(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build(ChainSpec(n_sites=40))
 
 
 def test_packet_overlap_basics(chain500):
