@@ -111,13 +111,12 @@ def hamiltonian_matrix(chain: ChainSpec) -> np.ndarray:
     return h
 
 
-def _as_state(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
+def _as_state(chain: ChainSpec, state: np.ndarray, stack: bool = True) -> np.ndarray:
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != chain.n_sites:
-        raise ValueError(
-            f"state has shape {arr.shape}, expected ({chain.n_sites},) or "
-            f"(M, {chain.n_sites}) for this chain"
-        )
+    if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] != chain.n_sites:
+        n = chain.n_sites
+        expected = f"({n},) or (M, {n})" if stack else f"({n},)"
+        raise ValueError(f"state has shape {arr.shape}, expected {expected} for this chain")
     if not np.isfinite(arr).all():
         raise ValueError("state has non-finite (nan or inf) entries")
     return arr

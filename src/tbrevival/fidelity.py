@@ -288,6 +288,8 @@ def find_peaks(
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(times) != len(values):
+        raise ValueError(f"{len(times)} times but {len(values)} values")
     candidates = [
         i
         for i in range(1, len(values) - 1)

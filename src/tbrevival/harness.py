@@ -27,7 +27,7 @@ Config files are flat key/value text with sections::
     [sweep]                # only for a sweep
     variable = half_width  # or: sites, center
     values = 8, 12, 16     # each read as the swept key itself is read
-    metric = fractional_fidelity  # or: mirror_fidelity, autocorrelation
+    metric = fractional_fidelity  # or: mirror_fidelity (both need a gaussian); autocorrelation
     fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0; the instant rule holds
 
 The instant rule: an instant g in units of t_rev is finite with |g| < 2**53,
@@ -35,7 +35,9 @@ and it is checked before it becomes the time g t_rev.
 
 Lines starting with '#' and blank lines are ignored; inline '# ...'
 comments are stripped.  Unknown sections or keys, duplicate keys and
-malformed values are errors carrying the 1-based line number.
+malformed values are errors carrying the 1-based line number; so is a broken
+rule between keys (``_SCENARIO_RULES``, ``_SWEEP_RULES``), on the line of the
+key it blames (0 when it blames none).
 
 Center expressions: a plain number, ``aN/m`` (e.g. ``N/3``, ``2N/3``) or
 ``a(N+1)/m``.  Under the default ``plus-one`` convention ``aN/m`` resolves
@@ -140,8 +142,11 @@ class DenominatorGrid:
 class Scenario:
     """A run description (centers still symbolic, see resolve_center).
 
-    Its field defaults are a config's.  A parsed config is fully validated; built directly,
-    a scenario refuses an unknown kind or no center at once and checks the rest when used.
+    Its field defaults are a config's.  Built directly or parsed, a scenario
+    keeps every rule that ties its fields together (``_SCENARIO_RULES``) or
+    is a ``ValueError`` at once; its messages name the config keys.  Each
+    value on its own (a center expression, a width, the chain size) is
+    checked by the parser, or when the scenario is used.
     """
 
     sites: int
@@ -161,10 +166,7 @@ class Scenario:
     prefix: str = "run"
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind {self.kind!r} is not one of {', '.join(_KINDS)}")
-        if not self.center_exprs:
-            raise ValueError(f"center_exprs {self.center_exprs!r} names no center")
+        _check(_SCENARIO_RULES, self)
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=self.sites, hopping=self.hopping)
@@ -172,14 +174,10 @@ class Scenario:
     def packet_alpha(self) -> float:
         if self.alpha is not None:
             return self.alpha
-        if self.half_width is not None:
-            return GaussianSpec.from_half_width(0.0, self.half_width).alpha
-        raise ConfigError(0, "initial needs half_width or alpha")
+        return GaussianSpec.from_half_width(0.0, self.half_width).alpha
 
     def centers(self) -> tuple[float, ...]:
-        return tuple(
-            resolve_center(e, self.sites, self.convention) for e in self.center_exprs
-        )
+        return tuple(resolve_center(e, self.sites, self.convention) for e in self.center_exprs)
 
     def initial_state(self) -> np.ndarray:
         if self.kind == "gaussian":
@@ -197,22 +195,74 @@ class Scenario:
     def grid(self):
         """Time grid in t_rev units: a :class:`DenominatorGrid` when a denominator is set.
 
-        A grid of over 2**20 points, or with an end or numerator at |.| >= 2**53,
-        is a ``ValueError`` raised before any of it is built.
+        None without a ``time_start``.  Its bounds were checked, from its ends
+        alone, when the scenario was built.
         """
         start, stop, d = self.time_start, self.time_stop, self.time_denominator
-        if start is None or stop is None or (d is None and self.time_points is None):
+        if start is None:
             return None
-        try:
-            k0, k1 = (round(start * d), round(stop * d)) if d else (0, self.time_points - 1)
-        except OverflowError:  # an end k/d beyond the float range
-            k0, k1 = 0, math.inf
-        if k1 - k0 >= _MAX_GRID_POINTS or max(abs(k0), abs(k1), abs(start), abs(stop)) >= 2**53:
-            raise ValueError(f"time grid has over {_MAX_GRID_POINTS} points, or an end at "
-                             "|t| >= 2**53 (|k| >= 2**53 for t = k/d)")
         if d:
-            return DenominatorGrid(range(k0, k1 + 1), d)
+            return DenominatorGrid(range(round(start * d), round(stop * d) + 1), d)
         return np.linspace(start, stop, self.time_points)
+
+
+def _grid_refusal(s: Scenario) -> str | None:
+    """A grid past its bounds, read from its ends: none of it is built."""
+    start, stop, d = s.time_start, s.time_stop, s.time_denominator
+    try:
+        k0, k1 = (round(start * d), round(stop * d)) if d else (0, s.time_points - 1)
+    except OverflowError:  # an end k/d beyond the float range
+        k0, k1 = 0, math.inf
+    if k1 - k0 >= _MAX_GRID_POINTS or max(abs(k0), abs(k1), abs(start), abs(stop)) >= 2**53:
+        return (f"time grid has over {_MAX_GRID_POINTS} points, or an end at |t| >= 2**53 "
+                "(|k| >= 2**53 for t = k/d)")
+    return None
+
+
+# Every rule that ties a Scenario's fields together, in the order they are
+# checked: the (section, key) a refusal blames in a config (None blames no
+# line), and a test that gives the refusal's message, or a false value while
+# the rule holds.  Each test is O(1): they run for every scenario built,
+# replace()d or parsed.
+_SCENARIO_RULES = (
+    (("initial", "kind"), lambda s: s.kind not in _KINDS
+     and f"kind {s.kind!r} is not one of {', '.join(_KINDS)}"),
+    (("initial", "center"), lambda s: s.kind == "gaussian" and len(s.center_exprs) != 1
+     and f"gaussian initial needs one center, got center_exprs {s.center_exprs!r}"),
+    (("initial", "weights"), lambda s: s.weights is not None
+     and len(s.weights) != len(s.center_exprs) and "weights must match the number of centers"),
+    (None, lambda s: (s.half_width is None) == (s.alpha is None)
+     and "initial needs exactly one of half_width or alpha"),
+    (None, lambda s: (s.time_start is None) != (s.time_stop is None)
+     and "time needs both start and stop"),
+    (("time", "stop"), lambda s: s.time_start is not None and not s.time_start < s.time_stop
+     and f"stop {s.time_stop!r} is not after start {s.time_start!r}"),
+    (None, lambda s: s.time_start is not None and s.time_points is None
+     and s.time_denominator is None and "time needs points or denominator"),
+    (None, lambda s: s.time_points is not None and s.time_denominator is not None
+     and "time takes points or denominator, not both"),
+    (("initial", "centers"), lambda s: not s.center_exprs and "centers is empty"),
+    (("time", "denominator"), lambda s: s.time_start is not None and s.time_denominator
+     and _grid_refusal(s)),
+    (("time", "points"), lambda s: s.time_start is not None and not s.time_denominator
+     and _grid_refusal(s)),
+)
+
+
+class _Broken(ValueError):
+    """A broken field rule; ``key`` is the config key it blames, or None."""
+
+    def __init__(self, key: tuple[str, str] | None, message: str):
+        self.key = key
+        super().__init__(message)
+
+
+def _check(rules, obj) -> None:
+    """Raise :class:`_Broken` for the first of ``rules`` that ``obj`` breaks."""
+    for key, refusal in rules:
+        message = refusal(obj)
+        if message:
+            raise _Broken(key, message)
 
 
 _CENTER_RE = re.compile(r"^(\d*)N/(\d+)$")
@@ -363,53 +413,45 @@ def _scenario(entries) -> Scenario:
         return expr
 
     if kind == "gaussian":
-        key, read = "center", lambda v: (center(v),)
+        keep("initial", "center", lambda v: (center(v),), "center_exprs")
     else:
-        key, read = "centers", _list(center)
-    center_exprs = keep("initial", key, read, "center_exprs")
-    if center_exprs is None:
-        raise ConfigError(0, f"{kind} initial needs {key}")
-    weights = keep("initial", "weights", _list(_finite_float))
-    if weights is not None and len(weights) != len(center_exprs):
-        _, lineno = entries["initial"]["weights"]
-        raise ConfigError(lineno, "weights must match the number of centers")
-    half_width = keep("initial", "half_width", _positive_float)
-    alpha = keep("initial", "alpha", _positive_float)
-    if (half_width is None) == (alpha is None):
-        raise ConfigError(0, "initial needs exactly one of half_width or alpha")
-
-    time_start = keep("time", "start", _finite_float, "time_start")
-    time_stop = keep("time", "stop", _finite_float, "time_stop")
-    time_points = keep("time", "points", _positive_int, "time_points")
-    time_denominator = keep("time", "denominator", _positive_int, "time_denominator")
-    if (time_start is None) != (time_stop is None):
-        raise ConfigError(0, "time needs both start and stop")
-    if time_start is not None and time_start >= time_stop:
-        _, lineno = entries["time"]["stop"]
-        raise ConfigError(lineno, f"stop {time_stop!r} is not after start {time_start!r}")
-    if time_start is not None and time_points is None and time_denominator is None:
-        raise ConfigError(0, "time needs points or denominator")
-    if time_points is not None and time_denominator is not None:
-        raise ConfigError(0, "time takes points or denominator, not both")
-
+        keep("initial", "centers", _list(center), "center_exprs")
+    keep("initial", "weights", _list(_finite_float))
+    keep("initial", "half_width", _positive_float)
+    keep("initial", "alpha", _positive_float)
+    keep("time", "start", _finite_float, "time_start")
+    keep("time", "stop", _finite_float, "time_stop")
+    keep("time", "points", _positive_int, "time_points")
+    keep("time", "denominator", _positive_int, "time_denominator")
     keep("metrics", "fraction_cap", _positive_int)
     keep("metrics", "profiles_at", _list(_finite_float))
     keep("output", "prefix", str)
+    return _built(entries, Scenario, {f: v for f, v in given.items() if v is not None})
 
-    if not center_exprs:  # checked last, so every other error reads as it did
-        raise ConfigError(entries["initial"][key][1], f"{key} is empty")
-    scenario = Scenario(**{field: value for field, value in given.items() if value is not None})
-    try:  # the grid's own bounds; a grid within them is cheap next to its trace
-        scenario.grid()
+
+def _built(entries, cls, fields: dict):
+    """``cls(**fields)``; a broken field rule is a ConfigError on the line of the key it blames."""
+    try:
+        return cls(**fields)
+    except _Broken as exc:
+        section, key = exc.key or (None, None)
+        raise ConfigError(entries.get(section, {}).get(key, (None, 0))[1], str(exc)) from None
+
+
+def _fraction_refusal(spec: SweepSpec) -> str | None:
+    try:
+        revival_fraction(str(spec.fraction))
     except ValueError as exc:
-        key = "denominator" if time_denominator else "points"
-        raise ConfigError(entries["time"][key][1], str(exc)) from None
-    return scenario
+        return str(exc)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep of a scalar metric evaluated at a fixed fraction of t_rev."""
+    """One-variable sweep of a scalar metric evaluated at a fixed fraction of t_rev.
+
+    Built directly or parsed, it keeps ``_SWEEP_RULES`` or is a ``ValueError`` at once: a
+    fidelity metric needs a gaussian base, and ``fraction`` must pass :func:`revival_fraction`.
+    """
 
     base: Scenario
     variable: str                      # half_width | sites | center
@@ -418,12 +460,20 @@ class SweepSpec:
     fraction: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
-        if self.variable not in _SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.metric not in _SWEEP_METRICS:
-            raise ValueError(f"unknown sweep metric {self.metric!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
+        _check(_SWEEP_RULES, self)
+
+
+# SweepSpec's rules, laid out as _SCENARIO_RULES are.
+_SWEEP_RULES = (
+    (("sweep", "variable"), lambda w: w.variable not in _SWEEP_VARIABLES
+     and f"unknown sweep variable {w.variable!r}"),
+    (("sweep", "metric"), lambda w: w.metric not in _SWEEP_METRICS
+     and f"unknown sweep metric {w.metric!r}"),
+    (("sweep", "values"), lambda w: not w.values and "sweep needs at least one value"),
+    (("sweep", "metric"), lambda w: w.metric != "autocorrelation" and w.base.kind != "gaussian"
+     and f"metric {w.metric} needs a single-packet (gaussian) initial, not a {w.base.kind}"),
+    (("sweep", "fraction"), _fraction_refusal),
+)
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -441,13 +491,10 @@ def parse_sweep(text: str) -> SweepSpec:
     values = _get(entries, "sweep", "values", _list(swept), required=True)
     metric = _get(entries, "sweep", "metric", _choice(_SWEEP_METRICS), default=SweepSpec.metric)
     fraction = _get(entries, "sweep", "fraction", revival_fraction, default=SweepSpec.fraction)
-    try:
-        return SweepSpec(
-            base=base, variable=variable, values=values, metric=metric,
-            fraction=Fraction(fraction.numerator, fraction.denominator),
-        )
-    except ValueError as exc:
-        raise ConfigError(0, str(exc)) from None
+    return _built(entries, SweepSpec, dict(
+        base=base, variable=variable, values=values, metric=metric,
+        fraction=Fraction(fraction.numerator, fraction.denominator),
+    ))
 
 
 def _write_csv(path: Path, header: str, row_format: str, rows: int, values) -> Path:
@@ -462,13 +509,8 @@ def _write_csv(path: Path, header: str, row_format: str, rows: int, values) -> P
 
 def write_trace_csv(path: Path, result: FidelityTrace) -> Path:
     table = np.column_stack((result.times, result.abs_f_sq, result.abs_ff_sq, result.abs_a_sq))
-    return _write_csv(
-        path,
-        "t_over_trev,abs_F_sq,abs_Ff_sq,abs_A_sq",
-        "%.12g,%.12g,%.12g,%.12g\n",
-        len(table),
-        table.ravel().tolist(),
-    )
+    return _write_csv(path, "t_over_trev,abs_F_sq,abs_Ff_sq,abs_A_sq",
+                      "%.12g,%.12g,%.12g,%.12g\n", len(table), table.ravel().tolist())
 
 
 def write_profile_csv(path: Path, amplitudes: np.ndarray) -> Path:
@@ -519,9 +561,6 @@ def _swept(spec: SweepSpec, value: float) -> Scenario:
 def _sweep_chain(spec: SweepSpec, scenarios: list[Scenario]) -> np.ndarray:
     """The metric of scenarios that share one chain, from one stacked kernel call."""
     chain = scenarios[0].chain()
-    if spec.metric != "autocorrelation":
-        for scenario in scenarios:
-            scenario.gaussian_spec()  # the fidelity metrics need a single packet
     fraction = RevivalFraction(spec.fraction.numerator, spec.fraction.denominator)
     states = np.array([scenario.initial_state() for scenario in scenarios])
     a_vals, f_vals = _overlaps(chain, states, np.array([fraction.time(chain)]))[..., 0]
@@ -547,22 +586,11 @@ def run_sweep(spec: SweepSpec, out_dir=None) -> SweepResult:
     ]
     rows = tuple(zip(map(float, spec.values), metrics))
     non_decreasing = all(b >= a - 1e-12 for a, b in zip(metrics, metrics[1:]))
-    path = None
-    if out_dir is not None:
-        path = _write_csv(
-            Path(out_dir) / f"{spec.base.prefix}_sweep.csv",
-            "variable,value,metric",
-            "%s,%.12g,%.12g\n",
-            len(rows),
-            [x for v, m in rows for x in (spec.variable, v, m)],
-        )
-    return SweepResult(
-        variable=spec.variable,
-        metric=spec.metric,
-        rows=rows,
-        non_decreasing=non_decreasing,
-        path=path,
-    )
+    path = None if out_dir is None else _write_csv(
+        Path(out_dir) / f"{spec.base.prefix}_sweep.csv", "variable,value,metric",
+        "%s,%.12g,%.12g\n", len(rows), [x for v, m in rows for x in (spec.variable, v, m)])
+    return SweepResult(variable=spec.variable, metric=spec.metric, rows=rows,
+                       non_decreasing=non_decreasing, path=path)
 
 
 @dataclass(frozen=True)
@@ -588,23 +616,15 @@ class BudgetReport:
         ]
         if self.decoherence_ms is not None:
             out.append(f"decoherence time           : {self.decoherence_ms:g} ms")
-            out.append(
-                f"revivals inside decoherence: {self.revivals_within_decoherence:.6g}"
-            )
+            out.append(f"revivals inside decoherence: {self.revivals_within_decoherence:.6g}")
         if self.max_sites_for_revivals is not None:
-            out.append(
-                f"max sites for {self.n_revivals:g} revivals: "
-                f"{self.max_sites_for_revivals:.6g}"
-            )
+            out.append(f"max sites for {self.n_revivals:g} revivals: "
+                       f"{self.max_sites_for_revivals:.6g}")
         return out
 
 
-def estimate_budget(
-    n_sites: int,
-    hopping_mev: float,
-    decoherence_ms: float | None = None,
-    n_revivals: float | None = None,
-) -> BudgetReport:
+def estimate_budget(n_sites: int, hopping_mev: float, decoherence_ms: float | None = None,
+                    n_revivals: float | None = None) -> BudgetReport:
     """Revival-period estimates in ms plus the feasible chain size for n revivals.
 
     Two revival-period conventions are reported side by side: the quoted
@@ -632,52 +652,29 @@ def estimate_budget(
     if not np.isfinite(numbers).all():
         raise ValueError("the budget for these inputs is out of the float range")
     return BudgetReport(
-        n_sites=n_sites,
-        hopping_mev=hopping_mev,
-        decoherence_ms=decoherence_ms,
-        n_revivals=n_revivals,
-        revival_ms_quoted=quoted,
-        revival_ms_physical=physical,
-        revivals_within_decoherence=revivals,
-        max_sites_for_revivals=max_sites,
+        n_sites=n_sites, hopping_mev=hopping_mev, decoherence_ms=decoherence_ms,
+        n_revivals=n_revivals, revival_ms_quoted=quoted, revival_ms_physical=physical,
+        revivals_within_decoherence=revivals, max_sites_for_revivals=max_sites,
     )
 
 
 _preset_scenario = functools.partial(Scenario, sites=500, half_width=24.0)
+_preset_trace = functools.partial(_preset_scenario, time_start=0.0, time_stop=1.0)
 
 PRESET_FIGURES = {
-    "fig2a": _preset_scenario(
-        center_exprs=("50",), time_start=0.0, time_stop=6.0,
-        time_denominator=1000, prefix="fig2a",
-    ),
-    "fig2b": _preset_scenario(
-        center_exprs=("50",), time_start=0.0, time_stop=1.0,
-        time_denominator=2000, prefix="fig2b",
-    ),
+    "fig2a": _preset_trace(center_exprs=("50",), time_stop=6.0, time_denominator=1000,
+                           prefix="fig2a"),
+    "fig2b": _preset_trace(center_exprs=("50",), time_denominator=2000, prefix="fig2b"),
     "fig3": _preset_scenario(
         center_exprs=("50",), profiles_at=(0.0, 0.2, 0.25, 1 / 3, 0.5, 1.0), prefix="fig3",
     ),
-    "fig4a": _preset_scenario(
-        center_exprs=("N/3",), time_start=0.0, time_stop=1.0,
-        time_denominator=2000, prefix="fig4a",
-    ),
-    "fig4b": _preset_scenario(
-        kind="superposition", center_exprs=("N/3", "2N/3"), time_start=0.0,
-        time_stop=0.25, time_denominator=2400, prefix="fig4b",
-    ),
-    "fig5a": _preset_scenario(
-        center_exprs=("N/4",), time_start=0.0, time_stop=1.0,
-        time_denominator=2000, prefix="fig5a",
-    ),
+    "fig4a": _preset_trace(center_exprs=("N/3",), time_denominator=2000, prefix="fig4a"),
+    "fig4b": _preset_trace(kind="superposition", center_exprs=("N/3", "2N/3"), time_stop=0.25,
+                           time_denominator=2400, prefix="fig4b"),
+    "fig5a": _preset_trace(center_exprs=("N/4",), time_denominator=2000, prefix="fig5a"),
     "fig5b": _preset_scenario(center_exprs=("N/4",), profiles_at=(0.25,), prefix="fig5b"),
-    "fig6a": _preset_scenario(
-        center_exprs=("N/6",), time_start=0.0, time_stop=1.0,
-        time_denominator=840, prefix="fig6a",
-    ),
-    "fig6b": _preset_scenario(
-        center_exprs=("N/10",), time_start=0.0, time_stop=1.0,
-        time_denominator=840, prefix="fig6b",
-    ),
+    "fig6a": _preset_trace(center_exprs=("N/6",), time_denominator=840, prefix="fig6a"),
+    "fig6b": _preset_trace(center_exprs=("N/10",), time_denominator=840, prefix="fig6b"),
 }
 
 # fig7: |F_f|^2 at t_rev/2 against the packet width, one sweep per chain size.

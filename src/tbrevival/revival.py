@@ -47,7 +47,9 @@ from .chain import (
     ChainSpec, mode_energies, mode_parities, mode_wavenumbers, reflect, to_position, to_spectral,
 )
 from .propagator import _instant_times, quadratic_energies, revival_clock
-from .wavepacket import GaussianSpec, _unit, build_gwp_spectral, high_mode_weight, surviving_modes
+from .wavepacket import (
+    GaussianSpec, _unit, _unit_coefficients, build_gwp_spectral, high_mode_weight, surviving_modes,
+)
 
 __all__ = [
     "RevivalFraction",
@@ -262,9 +264,8 @@ def spmc_check(
     if isinstance(packet, GaussianSpec):
         coeff = build_gwp_spectral(chain, packet)
     else:
-        coeff = np.asarray(packet, dtype=complex)
+        coeff = _unit_coefficients(chain, packet)
     weights = np.abs(coeff) ** 2
-    weights = weights / weights.sum()
     order = np.argsort(weights)[::-1]
     cut = int(np.searchsorted(np.cumsum(weights[order]), _SUPPORT_WEIGHT)) + 1
     support = np.sort(order[:cut]) + 1  # 1-based mode indices
@@ -302,7 +303,7 @@ def effective_period(chain: ChainSpec, coefficients: np.ndarray) -> tuple[int, f
     0, 1, 3, 6, 10, ..., and the first recurrence is 2 t_rev / g, where
     every relative phase is 1.
     """
-    surv = surviving_modes(coefficients)
+    surv = surviving_modes(_unit_coefficients(chain, coefficients))
     if len(surv) < 2:
         raise ValueError("need at least two surviving levels to define a period")
     base = int(surv[0]) ** 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, mode_wavenumbers
+from .chain import ChainSpec, _as_state, mode_wavenumbers
 
 __all__ = [
     "GaussianSpec",
@@ -39,6 +39,11 @@ SURVIVOR_TOLERANCE = 1e-8
 _WIDTH_FACTOR = 2.0 * np.sqrt(np.log(2.0))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Packet centre (site units, may be fractional) and width parameter alpha."""
@@ -47,13 +52,13 @@ class GaussianSpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     @classmethod
     def from_half_width(cls, center: float, half_width: float) -> "GaussianSpec":
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width!r}")
+        if not 0 < half_width < np.inf or float(_WIDTH_FACTOR) / float(half_width) == np.inf:
+            raise ValueError(f"half_width must be positive and finite, and give a finite alpha; "
+                             f"got {half_width!r}")
         return cls(center=float(center), alpha=_WIDTH_FACTOR / half_width)
 
     @property
@@ -82,8 +87,7 @@ class SuperpositionSpec:
             raise ValueError("superposition needs at least one center")
         if len(self.weights) != len(self.centers):
             raise ValueError("weights and centers must have the same length")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     @classmethod
     def equal_weights(cls, centers, alpha: float) -> "SuperpositionSpec":
@@ -106,6 +110,12 @@ def _unit(vector: np.ndarray, message: str) -> np.ndarray:
     if not 0 < norm < np.inf:
         raise ValueError(message)
     return vector / norm
+
+
+def _unit_coefficients(chain: ChainSpec, coefficients) -> np.ndarray:
+    """One spectral state of ``chain`` at unit norm; any other shape, or no weight, is refused."""
+    return _unit(_as_state(chain, coefficients, stack=False),
+                 "spectral coefficients have zero or non-finite norm")
 
 
 def build_gwp(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
@@ -162,8 +172,7 @@ def surviving_modes(coefficients: np.ndarray) -> np.ndarray:
 
 def high_mode_weight(chain: ChainSpec, coefficients: np.ndarray) -> float:
     """Fraction of spectral weight above the lowest quarter of the band (n > (N+1)/4)."""
-    mags = np.abs(np.asarray(coefficients)) ** 2
-    total = mags.sum()
+    mags = np.abs(_unit_coefficients(chain, coefficients)) ** 2
     cut = (chain.n_sites + 1) / 4.0
     n = np.arange(1, chain.n_sites + 1)
-    return float(mags[n > cut].sum() / total)
+    return float(mags[n > cut].sum())

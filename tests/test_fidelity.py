@@ -441,6 +441,13 @@ def test_find_peaks_reports_earlier_of_equal_maxima():
     assert peaks == [(1.0, 1.0)]
 
 
+@pytest.mark.parametrize("n_times, n_values", [(5, 7), (7, 5)])
+def test_find_peaks_refuses_times_and_values_of_different_lengths(n_times, n_values):
+    with pytest.raises(ValueError, match=f"{n_times} times but {n_values} values"):
+        find_peaks(np.arange(n_times, dtype=float), np.ones(n_values), min_height=0.0,
+                   min_separation=0.1)
+
+
 def test_find_peaks_separation_and_height():
     t = np.arange(9, dtype=float)
     v = np.array([0, 0.6, 0, 0.9, 0, 0.3, 0, 0.8, 0], dtype=float)

@@ -52,7 +52,7 @@ def test_resolve_center_expressions():
     "build, fragment",
     [
         pytest.param(lambda: Scenario(sites=500, half_width=24.0).initial_state(),
-                     r"center_exprs \(\) names no center", id="no-center"),
+                     r"needs one center, got center_exprs \(\)", id="no-center"),
         pytest.param(lambda: Scenario(sites=500, half_width=24.0, kind="bogus",
                                       center_exprs=("N/3", "2N/3")).initial_state(),
                      "kind 'bogus'", id="bogus-kind"),
@@ -66,6 +66,44 @@ def test_resolve_center_expressions():
 def test_direct_scenario_input_fails_cleanly(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()
+
+
+_DIRECT = dict(sites=500, center_exprs=("50",), half_width=24.0)
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        pytest.param(dict(center_exprs=("50", "N/2")), "gaussian initial needs one center",
+                     id="two-gaussian-centers"),
+        pytest.param(dict(kind="superposition", center_exprs=()), "centers is empty",
+                     id="superposition-without-centers"),
+        pytest.param(dict(alpha=5.0), "exactly one of half_width or alpha", id="both-widths"),
+        pytest.param(dict(half_width=None), "exactly one of half_width or alpha", id="no-width"),
+        pytest.param(dict(weights=(1.0, 2.0, 3.0)), "weights must match", id="gaussian-weights"),
+        pytest.param(dict(kind="superposition", center_exprs=("N/3", "2N/3"), weights=(1.0,)),
+                     "weights must match", id="superposition-weights"),
+        pytest.param(dict(time_start=0.0), "needs both start and stop", id="start-without-stop"),
+        pytest.param(dict(time_stop=1.0, time_points=3), "needs both start and stop",
+                     id="stop-without-start"),
+        pytest.param(dict(time_start=0.5, time_stop=0.5, time_points=3),
+                     r"stop 0\.5 is not after start 0\.5", id="stop-at-start"),
+        pytest.param(dict(time_start=0.5, time_stop=0.2, time_denominator=10),
+                     r"stop 0\.2 is not after start 0\.5", id="stop-before-start"),
+        pytest.param(dict(time_start=0.0, time_stop=float("nan"), time_points=3),
+                     "stop nan is not after start", id="stop-nan"),
+        pytest.param(dict(time_start=0.0, time_stop=1.0), "needs points or denominator",
+                     id="no-grid-size"),
+        pytest.param(dict(time_points=3, time_denominator=10), "not both",
+                     id="points-and-denominator"),
+    ],
+)
+def test_direct_scenario_keeps_the_field_rules(fields, fragment):
+    with pytest.raises(ValueError, match=fragment) as err:
+        Scenario(**{**_DIRECT, **fields})
+    assert not isinstance(err.value, ConfigError)  # no config is involved
+    with pytest.raises(ValueError, match=fragment):  # replace() builds anew
+        replace(Scenario(**_DIRECT), **fields)
 
 
 def test_parse_config_happy_path():
@@ -221,14 +259,16 @@ _ODD_TEXT = st.sampled_from(
     ["0", "-0.0", "1", "-2", "2.5", "1e-300", "nan", "inf", "-inf", "x", ""]
 )
 _WILD = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str), _ODD_TEXT)
-# Chain size, grid size and grid ends stay small even when replaced: runs
-# are bounded (2**22 sites, 2**20 grid points), but a run near a bound
-# allocates hundreds of MB.  The examples below go past the bounds.
+# Chain size, grid size and grid ends stay moderate even when replaced (up
+# to 2048 sites and ~2*10**4 grid points): runs are bounded (2**22 sites,
+# 2**20 grid points), but a run near a bound allocates hundreds of MB.  The
+# examples below go past the bounds.
 _SIZE_KEYS = {"sites", "start", "stop", "points", "denominator"}
-_WILD_SMALL = st.one_of(st.floats(-4, 4).map(repr), st.integers(-3, 64).map(str), _ODD_TEXT)
-_CENTER = st.one_of(
-    st.sampled_from(["N/3", "2N/3", "(N+1)/4", "N/0"]), st.floats(-10, 80).map(repr)
+_WILD_SMALL = st.one_of(st.floats(-16, 16).map(repr), st.integers(-3, 2048).map(str), _ODD_TEXT)
+_GOOD_CENTER = st.one_of(
+    st.sampled_from(["N/3", "2N/3", "(N+1)/4"]), st.floats(-10, 80).map(repr)
 )
+_CENTER = st.one_of(_GOOD_CENTER, st.just("N/0"))
 
 
 @st.composite
@@ -236,7 +276,7 @@ def fuzzed_configs(draw):
     n_centers = draw(st.integers(1, 3))
     start = draw(st.floats(-4, 4))
     values = {
-        "sites": str(draw(st.integers(2, 64))),
+        "sites": str(draw(st.integers(2, 2048))),
         "hopping": repr(draw(st.floats(1e-3, 1e3))),
         "kind": draw(st.sampled_from(["gaussian", "superposition"])),
         "center": draw(_CENTER),
@@ -246,8 +286,8 @@ def fuzzed_configs(draw):
         "alpha": repr(draw(st.floats(0.01, 5))),
         "start": repr(start),
         "stop": repr(start + draw(st.floats(1e-3, 4))),
-        "points": str(draw(st.integers(1, 64))),
-        "denominator": str(draw(st.integers(1, 64))),
+        "points": str(draw(st.integers(1, 2048))),
+        "denominator": str(draw(st.integers(1, 512))),
         "fraction_cap": str(draw(st.integers(1, 2000))),
         "profiles_at": ", ".join(repr(t) for t in draw(st.lists(st.floats(-10, 10), max_size=2))),
     }
@@ -265,7 +305,7 @@ def fuzzed_configs(draw):
         lines += [f"[{section}]"] + [f"{key} = {values[key]}" for key in keys]
     lines += ["[output]", "prefix = fuzz"]
     if draw(st.booleans()):
-        values = draw(st.lists(st.integers(2, 64).map(str), min_size=1, max_size=3))
+        values = draw(st.lists(st.integers(2, 1024).map(str), min_size=1, max_size=3))
         sweep = {
             "variable": draw(st.sampled_from(["sites", "half_width", "center"])),
             "values": ", ".join(values),
@@ -307,6 +347,99 @@ def test_fuzzed_config_fails_only_cleanly(text):
         assert code == 2  # the two fidelity metrics need a single (gaussian) packet
     else:
         assert code in (0, 1)
+
+
+# The differential test draws Scenario and SweepSpec fields that a config can
+# give, each valid on its own key, and writes them as a config: only the rules
+# that tie fields together can refuse them, and parsing must refuse exactly
+# what building them directly refuses.
+_KEYS = {  # field: (section, config key); center_exprs's key depends on kind
+    "sites": ("chain", "sites"), "kind": ("initial", "kind"), "weights": ("initial", "weights"),
+    "half_width": ("initial", "half_width"), "alpha": ("initial", "alpha"),
+    "time_start": ("time", "start"), "time_stop": ("time", "stop"),
+    "time_points": ("time", "points"), "time_denominator": ("time", "denominator"),
+    "variable": ("sweep", "variable"), "values": ("sweep", "values"),
+    "metric": ("sweep", "metric"), "fraction": ("sweep", "fraction"),
+}
+_FAR_END = st.sampled_from([1e300, -1e307, 2.0**53, 1e16])
+
+
+@st.composite
+def field_sets(draw):
+    # mostly fields that keep the rules, so that parses are compared too
+    kind = draw(st.sampled_from(["gaussian", "superposition"]))
+    n_centers = draw(st.sampled_from([1, 1, 1, 0] if kind == "gaussian" else [1, 2, 2, 3, 0]))
+    fields = {
+        "sites": draw(st.integers(2, 64)), "kind": kind,
+        "center_exprs": tuple(draw(st.lists(_GOOD_CENTER, min_size=n_centers,
+                                            max_size=n_centers))),
+    }
+    if draw(st.booleans()):
+        count = draw(st.sampled_from([n_centers, n_centers, n_centers + 1, 0]))
+        fields["weights"] = tuple(draw(st.lists(st.floats(-5, 5), min_size=count,
+                                                max_size=count)))
+    for width in draw(st.sampled_from([["half_width"], ["alpha"], [], ["half_width", "alpha"]])):
+        fields[width] = draw(st.floats(0.5, 100) if width == "half_width" else st.floats(0.01, 5))
+    start = draw(st.one_of(st.floats(-4, 4), _FAR_END))
+    time = {
+        "time_start": st.just(start),
+        "time_stop": st.floats(1e-3, 4).map(lambda d: start + d) | st.floats(-4, 4) | _FAR_END,
+        "time_points": st.integers(1, 64) | st.just(2**20 + 1),
+        "time_denominator": st.integers(1, 64) | st.just(10**17),
+    }
+    keys = sorted(draw(st.sampled_from([(), ("time_start", "time_stop"), ("time_points",)])
+                       | st.sets(st.sampled_from(sorted(time)))))
+    if keys == ["time_start", "time_stop"]:  # mostly a grid with its size
+        keys += draw(st.sampled_from([["time_points"], ["time_denominator"], []]))
+    for field in keys:
+        fields[field] = draw(time[field])
+    if not draw(st.booleans()):
+        return fields, None
+    variable = draw(st.sampled_from(["half_width", "sites", "center"]))
+    value = {"half_width": st.floats(0.5, 100), "sites": st.integers(2, 64),
+             "center": st.floats(-10, 80)}[variable]
+    return fields, {
+        "variable": variable,
+        "values": tuple(draw(st.lists(value, max_size=3))),
+        "metric": draw(st.sampled_from(["fractional_fidelity", "mirror_fidelity",
+                                        "autocorrelation"])),
+        "fraction": Fraction(draw(st.sampled_from(
+            ["1/2", "1/3", "2/3", "0", "5/4", "1/1048576", "-1/2", "1e300"]))),
+    }
+
+
+def _config_text(fields: dict, sweep: dict | None) -> str:
+    keys = dict(_KEYS, center_exprs=(
+        "initial", "center" if fields["kind"] == "gaussian" else "centers"))
+    sections: dict[str, list[str]] = {}
+    for field, value in [*fields.items(), *(sweep or {}).items()]:
+        if field == "center_exprs" and keys[field][1] == "center" and not value:
+            continue  # a gaussian without its center key
+        if isinstance(value, tuple):
+            value = ", ".join(v if isinstance(v, str) else repr(v) for v in value)
+        section, key = keys[field]
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_sets())
+def test_parsing_refuses_exactly_what_direct_construction_refuses(drawn):
+    fields, sweep = drawn
+    try:
+        direct = Scenario(**fields)
+        direct = direct if sweep is None else SweepSpec(base=direct, **sweep)
+    except ValueError as exc:
+        direct, refusal = None, str(exc)
+    try:
+        parsed = (parse_config if sweep is None else parse_sweep)(_config_text(fields, sweep))
+    except ConfigError as exc:
+        assert direct is None
+        # the same message, unless the parser refused the fraction on its own key first
+        assert str(exc).endswith(refusal) or "bad value for 'fraction'" in str(exc)
+    else:
+        assert parsed == direct
 
 
 def test_parse_config_duplicate_key():
@@ -397,6 +530,76 @@ def test_run_sweep_single_value_matches_scenario(variable, metric):
         assert row_metric == pytest.approx(direct, abs=1e-12)
 
 
+SUPERPOSITION_BASE = Scenario(sites=200, kind="superposition", center_exprs=("N/3", "2N/3"),
+                              half_width=12.0)
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        pytest.param(dict(fraction=Fraction(1, 2**20)), "Gauss table", id="gauss-table"),
+        pytest.param(dict(fraction=Fraction(2**60)), r"2\*\*53 t_rev", id="far-fraction"),
+        pytest.param(dict(fraction=Fraction(-1, 2)), "numerator >= 0", id="negative-fraction"),
+        pytest.param(dict(base=SUPERPOSITION_BASE), "fractional_fidelity needs a single-packet",
+                     id="superposition-fractional"),
+        pytest.param(dict(base=SUPERPOSITION_BASE, metric="mirror_fidelity"),
+                     "mirror_fidelity needs a single-packet", id="superposition-mirror"),
+    ],
+)
+def test_direct_sweep_keeps_the_field_rules(fields, fragment):
+    with pytest.raises(ValueError, match=fragment) as err:
+        SweepSpec(**{"base": SWEEP_BASE, "variable": "half_width", "values": (8.0,), **fields})
+    assert not isinstance(err.value, ConfigError)
+
+
+def test_superposition_sweeps_its_autocorrelation():
+    spec = SweepSpec(base=SUPERPOSITION_BASE, variable="half_width", values=(8.0, 12.0),
+                     metric="autocorrelation")
+    scenario = replace(SUPERPOSITION_BASE, half_width=12.0)
+    chain = scenario.chain()
+    direct = abs(autocorrelation(chain, scenario.initial_state(),
+                                 RevivalFraction(1, 2).time(chain))) ** 2
+    assert run_sweep(spec).rows[1] == (12.0, pytest.approx(direct, abs=1e-12))
+
+
+SUPERPOSITION_SWEEP = """\
+[chain]
+sites = 200
+[initial]
+kind = superposition
+centers = N/3, 2N/3
+half_width = 12
+[sweep]
+variable = half_width
+values = 8, 12
+metric = mirror_fidelity
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, line, fragment",
+    [
+        pytest.param("", "", 10, "mirror_fidelity needs a single-packet", id="metric-line"),
+        pytest.param("metric = mirror_fidelity\n", "", 0,
+                     "fractional_fidelity needs a single-packet", id="default-metric"),
+        pytest.param("centers = N/3, 2N/3\n", "centers = N/3, 2N/3\nweights = 1\n", 6,
+                     "weights must match", id="weights-line"),
+        pytest.param("centers = N/3, 2N/3\n", "centers = N/3, 2N/3\nalpha = 1\n", 0,
+                     "exactly one of", id="two-widths"),
+    ],
+)
+def test_sweep_config_refusals_land_on_the_key_they_blame(tmp_path, old, new, line, fragment):
+    text = SUPERPOSITION_SWEEP.replace(old, new)
+    with pytest.raises(ConfigError, match=fragment) as err:
+        parse_sweep(text)
+    assert err.value.line == line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_keeps_the_fractional_rule():
     # commensurate centers pile folded clones onto the mirror site at 1/10
     base = Scenario(sites=500, center_exprs=("N/10",), half_width=24.0)
@@ -445,9 +648,9 @@ def test_denominator_grid_traces_like_its_fractions(monkeypatch, figure, ties):
     dict(time_start=0.0, time_stop=2.0**53, time_points=3),
 ])
 def test_scenario_grid_is_bounded_before_it_is_built(time):
-    scenario = Scenario(sites=40, center_exprs=("10",), half_width=6.0, **time)
+    # the bounds are read from the grid's ends when the scenario is built
     with pytest.raises(ValueError, match="time grid has over"):
-        scenario.grid()
+        Scenario(sites=40, center_exprs=("10",), half_width=6.0, **time)
 
 
 def test_presets_match_recorded_rows(tmp_path):

@@ -316,6 +316,17 @@ def test_effective_period_superposition(chain500, clock500):
     assert t_eff == pytest.approx(clock500.revival_time / 24, rel=1e-12)
 
 
+@pytest.mark.parametrize("check", [spmc_check, effective_period])
+@pytest.mark.parametrize(
+    "coefficients, fragment",
+    [(np.zeros(50), "zero or non-finite norm"), (np.ones(7), r"shape \(7,\)")],
+    ids=["zeros", "short"],
+)
+def test_spectral_checks_refuse_a_malformed_vector(check, coefficients, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        check(ChainSpec(50), coefficients)
+
+
 def test_effective_period_needs_two_levels(chain500):
     lone = np.zeros(500, dtype=complex)
     lone[4] = 1.0

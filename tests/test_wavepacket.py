@@ -29,6 +29,30 @@ def test_width_parameterisations_are_exact_inverses():
         GaussianSpec.from_half_width(center=10, half_width=-1.0)
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        pytest.param(lambda: GaussianSpec(10.0, np.inf), "alpha .* got inf", id="gaussian-inf"),
+        pytest.param(lambda: SuperpositionSpec.equal_weights([10.0, 20.0], np.inf),
+                     "alpha .* got inf", id="superposition-inf"),
+        pytest.param(lambda: GaussianSpec.from_half_width(10, np.inf), "half_width .* got inf",
+                     id="half-width-inf"),
+        pytest.param(lambda: GaussianSpec.from_half_width(10, 5e-324),
+                     "half_width .* got 5e-324", id="half-width-without-finite-alpha"),
+    ],
+)
+def test_non_finite_widths_are_refused_by_name(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+@pytest.mark.parametrize("coefficients", [np.zeros(50), np.ones(7), np.ones((2, 50))],
+                         ids=["zeros", "short", "stack"])
+def test_high_mode_weight_refuses_a_malformed_spectral_vector(coefficients):
+    with pytest.raises(ValueError, match="norm|shape"):
+        high_mode_weight(ChainSpec(50), coefficients)
+
+
 def test_containment_flag():
     chain = ChainSpec(n_sites=100)
     assert GaussianSpec.from_half_width(50, 24).is_contained(chain)
