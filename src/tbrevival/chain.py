@@ -16,8 +16,14 @@ real, symmetric and orthogonal, so one function performs both directions.
 It is the orthonormal DST-I, evaluated in O(N log N) through one complex
 FFT of length N+1 of an auxiliary array, not of the length-2(N+1) odd
 extension (Makhoul, IEEE TASSP 28, 27 (1980); Numerical Recipes, section
-12.3, ``sinft``); nothing is cached and no N x N matrix is formed.  The
-transform and ``reflect`` also take an (M, N) stack of states, one per row.
+12.3, ``sinft``); no N x N matrix is formed.  The transform and
+``reflect`` also take an (M, N) stack of states, one per row.
+
+The public transforms cache nothing and return a fresh array each call.
+The evolution and the overlap kernel take their forward transform from the
+private ``_spectral``, which remembers one (input, output) pair, 32 B per
+site, until another input replaces it: a caller that evolves one state to
+several instants, or evolves it and then traces it, transforms it once.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ __all__ = [
     "inner_product",
 ]
 
-# A trace plus one profile peaks at ~220 B per site, so ~0.9 GB at this size.
+# A trace plus one profile peaks at ~250 B per site (32 B of it _spectral's pair), so ~1 GB here.
 _MAX_SITES = 2**22
 
 
@@ -160,6 +166,29 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
 
 
 to_position = to_spectral
+
+# The last input _spectral transformed, as (shape, bytes), and its read-only output.
+_last_spectral: tuple = (None, None)
+
+
+def _spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
+    """:func:`to_spectral` of ``state``, read-only, reusing the last one that was asked for.
+
+    The input is remembered as a copy of its bytes, so the output is reused
+    only for an input of the same shape whose bytes are all equal (-0.0 is
+    not 0.0), however it was mutated or rebuilt in between.  One pair is
+    kept; any other input replaces it.
+    """
+    global _last_spectral
+    x = _as_state(chain, state)
+    key = (x.shape, x.tobytes())
+    remembered, out = _last_spectral  # one read: another thread may replace the pair
+    if remembered == key:
+        return out
+    out = to_spectral(chain, x)
+    out.flags.writeable = False
+    _last_spectral = (key, out)
+    return out
 
 
 def reflect(chain: ChainSpec, state: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .fidelity import _overlaps
 from .harness import (
     ConfigError,
+    _parse_gaussian,
     estimate_budget,
     parse_config,
     parse_sweep,
@@ -97,10 +98,10 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
 
         elif args.command == "predict":
-            scenario, fraction = parse_config(config), args.fraction
-            prediction = predict_state(scenario.chain(), scenario.gaussian_spec(), fraction)
-            print(f"sub-packets at t = {fraction} of t_rev "
-                  f"(center {scenario.gaussian_spec().center:g}):")
+            scenario, fraction = _parse_gaussian(config), args.fraction
+            spec = scenario.gaussian_spec()
+            prediction = predict_state(scenario.chain(), spec, fraction)
+            print(f"sub-packets at t = {fraction} of t_rev (center {spec.center:g}):")
             print("  center      weight_re      weight_im      probability")
             for center, weight in prediction.merged():
                 print(f"  {center:9.3f}  {weight.real:+.10f}  {weight.imag:+.10f}  "

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainSpec, mode_energies, mode_parities, to_spectral
+from .chain import ChainSpec, _spectral, mode_energies, mode_parities
 from .propagator import _check_instants, _instant_times
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
@@ -84,7 +84,7 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     wakes BLAS threads that cost more CPU time than they save wall time.
     """
     _check_instants(chain, times)
-    spectral = to_spectral(chain, initial)
+    spectral = _spectral(chain, initial)
     w = np.abs(spectral.reshape(-1, chain.n_sites)) ** 2
     kept = np.any(w > _CUT * w.sum(axis=1, keepdims=True) / chain.n_sites, axis=0)
     odd = kept & (mode_parities(chain) > 0)

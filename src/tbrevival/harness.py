@@ -438,6 +438,16 @@ def _built(entries, cls, fields: dict):
         raise ConfigError(entries.get(section, {}).get(key, (None, 0))[1], str(exc)) from None
 
 
+def _parse_gaussian(text: str) -> Scenario:
+    """:func:`parse_config` for one packet: a superposition is refused on its ``kind`` line."""
+    entries = _parse_entries(text)
+    scenario = _scenario(entries)
+    if scenario.kind != "gaussian":  # only a kind line makes a superposition
+        raise ConfigError(entries["initial"]["kind"][1], "this operation needs a single-packet "
+                          f"(gaussian) initial, not a {scenario.kind}")
+    return scenario
+
+
 def _fraction_refusal(spec: SweepSpec) -> str | None:
     try:
         revival_fraction(str(spec.fraction))

@@ -2,7 +2,8 @@
 
 Evolution is spectral: transform to the mode basis, multiply phases
 exp(-i e_n t), transform back.  This is exact to machine precision and
-costs one O(N log N) sine transform each way.
+costs one O(N log N) sine transform each way; the forward one is reused
+while the same state is evolved again (``chain._spectral``).
 
 For a low-energy packet the offset-removed spectrum is nearly quadratic,
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, mode_energies, to_position, to_spectral
+from .chain import ChainSpec, _spectral, mode_energies, to_position
 
 __all__ = [
     "RevivalClock",
@@ -86,7 +87,7 @@ def _evolve(chain: ChainSpec, state: np.ndarray, t, energies) -> np.ndarray:
     if np.size(t) * chain.n_sites > _MAX_SITE_PROFILES:
         raise ValueError(f"{np.size(t)} instants x {chain.n_sites} sites exceed the bound of "
                          f"{_MAX_SITE_PROFILES} site-profiles")
-    return to_position(chain, to_spectral(chain, state)
+    return to_position(chain, _spectral(chain, state)
                        * np.exp(-1j * energies(chain) * np.expand_dims(t, -1)))
 
 

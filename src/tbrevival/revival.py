@@ -21,10 +21,10 @@ A clone center outside [1, N] is equivalent to a folded one: the sine
 basis is the odd extension of period 2(N+1), so sin(k x) = -sin(k(-x)) and
 sin(k x) = -sin(k(2(N+1)-x)).  Clones are therefore reflected back into
 the chain with a sign flip per reflection (method of images); a center
-landing exactly on 0 or N+1 is a node and the clone vanishes.
-``predict_state`` sums all l components and folds each one: folding pairs
-r with l - r (b_r = b_{l-r}) and sends r = l/2 to the mirror site with a
-minus sign, so the sum takes the folded form
+landing exactly on 0 or N+1 is a node and the clone vanishes.  The
+``entries`` of ``predict_state`` carry this fold: folding pairs r with
+l - r (b_r = b_{l-r}) and sends r = l/2 to the mirror site with a minus
+sign, so the clone sum takes the folded form
 
     b_0 psi(c) - b_{l/2} psi(N+1-c)
         + sum_{r=1}^{l/2-1} b_r [psi(c + 2(N+1)r/l) + psi(c - 2(N+1)r/l)].
@@ -32,6 +32,11 @@ minus sign, so the sum takes the folded form
 Folded clones that coincide superpose coherently, which is how strong
 partial revivals (e.g. weight (2+sqrt 2)/4 at the mirror for
 quarter-period revivals of a quarter-chain packet) arise.
+
+``predict_state`` does not sum the clones for its state: the Fourier
+expansion above is exact, so the clone sum is the packet's mode
+coefficients times exp(-i p n^2 pi/q), which it builds from the integer
+phase p n^2 mod 2q in O(N) for any q.
 """
 
 from __future__ import annotations
@@ -43,12 +48,10 @@ import warnings
 
 import numpy as np
 
-from .chain import (
-    ChainSpec, mode_energies, mode_parities, mode_wavenumbers, reflect, to_position, to_spectral,
-)
+from .chain import ChainSpec, mode_energies, mode_parities, reflect, to_position, to_spectral
 from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
-    GaussianSpec, _unit, _unit_coefficients, build_gwp_spectral, high_mode_weight, surviving_modes,
+    GaussianSpec, _unit_coefficients, build_gwp_spectral, high_mode_weight, surviving_modes,
 )
 
 __all__ = [
@@ -143,11 +146,16 @@ def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     |b_r|^2 in {0, 1/q}; the mirror weight |b_{l/2}| is 1/sqrt(q) for odd p
     and 0 for even p.  A table past 2**18 entries is refused before it is built.
     """
+    l = fourier_period(fraction.denominator)
+    phases = _quadratic_phases(fraction, np.arange(l, dtype=np.int64))
+    return GaussCoefficients(period=l, values=np.fft.ifft(phases))
+
+
+def _quadratic_phases(fraction: RevivalFraction, n: np.ndarray) -> np.ndarray:
+    """exp(-i pi p n^2/q) at int64 ``n``, looked up at r = (p mod 2q)(n^2 mod 2q) mod 2q."""
     p, q = fraction.numerator, fraction.denominator
-    l = fourier_period(q)
-    n = np.arange(l, dtype=np.int64)
-    residue = (n * n % (2 * q)) * (p % (2 * q)) % (2 * q)
-    return GaussCoefficients(period=l, values=np.fft.ifft(np.exp(-1j * np.pi * residue / q)))
+    residue = (p % (2 * q)) * (n * n % (2 * q)) % (2 * q)
+    return np.exp(-1j * np.pi * np.arange(2 * q) / q)[residue]
 
 
 def fold_center(chain: ChainSpec, center: float) -> tuple[float, float, bool]:
@@ -204,18 +212,22 @@ class SubPacketPrediction:
 def predict_state(
     chain: ChainSpec, spec: GaussianSpec, fraction: RevivalFraction
 ) -> SubPacketPrediction:
-    """Assemble the clone superposition for t = (p/q) t_rev.
+    """The clone superposition for t = (p/q) t_rev, and its folded clones.
 
-    The clones share the initial packet's spectral envelope, so the
-    assembled state equals the quadratic-spectrum evolution of the packet
-    exactly; comparing it against the exact propagator measures only the
-    quartic dispersion error.
+    The state is the packet's mode coefficients (``build_gwp_spectral``)
+    times the quadratic phases exp(-i pi r_n/q), with the integer residue
+    r_n = (p mod 2q)(n^2 mod 2q) mod 2q looked up in a 2q-entry table.
+    That is the quadratic-spectrum evolution of the packet, and also the
+    sum of the clones that ``entries`` lists (centers folded into the chain,
+    Gauss-sum weights with their fold signs); comparing the state against
+    the exact propagator measures only the quartic dispersion error.
     """
     coeffs = gauss_coefficients(fraction)
     l, b = coeffs.period, coeffs.values
     L = chain.n_sites + 1
 
-    tail = high_mode_weight(chain, build_gwp_spectral(chain, spec))
+    packet = build_gwp_spectral(chain, spec)
+    tail = high_mode_weight(chain, packet)
     if tail > 1e-6:
         warnings.warn(
             f"packet has {tail:.2e} of its weight outside the low-energy "
@@ -230,12 +242,9 @@ def predict_state(
         center, sign, _ = fold_center(chain, spec.center + 2.0 * L * r / l)
         entries.append(CloneEntry(center=center, weight=sign * complex(b[r])))
 
-    k = mode_wavenumbers(chain)
-    coeff = sum(e.weight * np.sin(k * e.center) for e in entries)
-    coeff = _unit(coeff * np.exp(-(k**2) / (2.0 * spec.alpha**2)),
-                  "predicted clones cancel exactly or are not finite; no state to assemble")
+    phases = _quadratic_phases(fraction, np.arange(1, chain.n_sites + 1, dtype=np.int64))
     return SubPacketPrediction(chain=chain, spec=spec, fraction=fraction,
-                               entries=tuple(entries), state=to_position(chain, coeff))
+                               entries=tuple(entries), state=to_position(chain, packet * phases))
 
 
 @dataclass(frozen=True)

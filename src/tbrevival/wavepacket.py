@@ -105,8 +105,18 @@ def _warn_if_not_contained(chain: ChainSpec, spec: GaussianSpec) -> None:
 
 
 def _unit(vector: np.ndarray, message: str) -> np.ndarray:
-    """``vector`` over its norm; ``ValueError(message)`` when the norm is 0 or not finite."""
-    norm = np.linalg.norm(vector)
+    """``vector`` over its norm; ``ValueError(message)`` when the norm is 0 or not finite.
+
+    The norm squares the entries, so a finite nonzero vector whose entries
+    are all below ~1e-154, or one with an entry above ~1e154, can give 0 or
+    inf; only then is the norm taken again, after an exact scaling by 2**600
+    or 2**-600, which brings any such vector of finite floats into range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in a refused vector
+        norm = np.linalg.norm(vector)
+        if norm == 0 or norm == np.inf:
+            vector = vector * 2.0 ** (600 if norm == 0 else -600)
+            norm = np.linalg.norm(vector)
     if not 0 < norm < np.inf:
         raise ValueError(message)
     return vector / norm

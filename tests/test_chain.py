@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,17 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from tbrevival import (
     ChainSpec,
+    GaussianSpec,
     autocorrelation,
+    build_gwp,
     eigen_modes,
     evolve_exact,
     hamiltonian_matrix,
     inner_product,
+    mirror_fidelity,
     mode_energies,
     reflect,
     to_position,
     to_spectral,
     trace,
 )
+from tbrevival import chain as chain_module
+from tbrevival.chain import _spectral
 
 from conftest import random_state
 
@@ -216,3 +224,94 @@ def test_inner_product_orthogonal_modes():
     v1 = np.sqrt(2 / 13) * np.sin(modes[0].wavenumber * j)
     v5 = np.sqrt(2 / 13) * np.sin(modes[4].wavenumber * j)
     assert abs(inner_product(v1, v5)) < 1e-12
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Every call of chain.to_spectral, recorded, with the remembered transform cleared first."""
+    calls = []
+    original = chain_module.to_spectral
+
+    def counted(chain, state):
+        calls.append(np.array(state))
+        return original(chain, state)
+
+    monkeypatch.setattr(chain_module, "_last_spectral", (None, None))
+    monkeypatch.setattr(chain_module, "to_spectral", counted)
+    return calls
+
+
+def test_one_packet_is_transformed_forward_once(forward_calls):
+    chain, spec = ChainSpec(n_sites=401), GaussianSpec.from_half_width(100.0, 24.0)
+    packet = build_gwp(chain, spec)
+    for t in (0.0, 10.0, 250.5, -3.0, 1e4):
+        evolve_exact(chain, packet, t)
+    mirror_fidelity(chain, spec, 250.5)
+    assert len(forward_calls) == 1
+
+
+def test_remembered_transform_is_the_fresh_one_bit_for_bit(forward_calls):
+    chain = ChainSpec(n_sites=211)
+    stack = np.array([random_state(np.random.default_rng(s), 211) for s in range(3)])
+    first, again = _spectral(chain, stack), _spectral(chain, stack.copy())
+    assert again is first and len(forward_calls) == 1
+    assert not again.flags.writeable
+    assert again.tobytes() == to_spectral(chain, stack).tobytes()
+
+
+def test_a_state_mutated_in_place_is_transformed_again(forward_calls):
+    chain, t = ChainSpec(n_sites=60), 37.0
+    state = random_state(np.random.default_rng(5), 60)
+    before = evolve_exact(chain, state, t)
+    state[::2] *= -1j
+    after = evolve_exact(chain, state, t)
+    phases = np.exp(-1j * mode_energies(chain) * t)
+    assert after.tobytes() == to_position(chain, to_spectral(chain, state) * phases).tobytes()
+    assert np.abs(after - before).max() > 0.1
+    assert len(forward_calls) == 2
+
+
+def test_negative_zero_is_not_served_the_positive_zero_transform(forward_calls):
+    chain = ChainSpec(n_sites=8)
+    positive, negative = np.ones(8, dtype=complex), np.ones(8, dtype=complex)
+    negative[3] = -0.0
+    positive[3] = 0.0
+    _spectral(chain, positive)
+    _spectral(chain, negative)
+    assert [np.signbit(x[3].real) for x in forward_calls] == [False, True]
+
+
+def test_public_transforms_return_fresh_writable_arrays(forward_calls):
+    chain = ChainSpec(n_sites=30)
+    state = random_state(np.random.default_rng(8), 30)
+    remembered = _spectral(chain, state)
+    for transform in (to_spectral, to_position):
+        a, b = transform(chain, state), transform(chain, state)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, remembered)
+
+
+def test_threads_sharing_the_remembered_transform_each_get_their_own_state():
+    chain = ChainSpec(n_sites=64)
+    states = [random_state(np.random.default_rng(s), 64) for s in range(6)]
+    expected = [to_spectral(chain, state).tobytes() for state in states]
+    wrong = []
+
+    def work(i):
+        for _ in range(300):
+            if _spectral(chain, states[i]).tobytes() != expected[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

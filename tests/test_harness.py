@@ -600,6 +600,17 @@ def test_sweep_config_refusals_land_on_the_key_they_blame(tmp_path, old, new, li
     assert not out.exists()
 
 
+def test_cli_predict_refuses_a_superposition_on_its_kind_line(tmp_path, capsys):
+    cfg, out = tmp_path / "sup.cfg", tmp_path / "out"
+    cfg.write_text(SUPERPOSITION_SWEEP.split("[sweep]")[0])
+    assert cli_main(["predict", "--config", str(cfg), "--fraction", "1/2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: line 4: this operation needs a single-packet (gaussian) "
+                            "initial, not a superposition\n")
+    assert not out.exists()
+
+
 def test_sweep_keeps_the_fractional_rule():
     # commensurate centers pile folded clones onto the mirror site at 1/10
     base = Scenario(sites=500, center_exprs=("N/10",), half_width=24.0)

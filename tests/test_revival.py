@@ -18,9 +18,11 @@ from tbrevival import (
     gauss_coefficients,
     inner_product,
     is_commensurate,
+    mode_wavenumbers,
     predict_state,
     reflect,
     spmc_check,
+    to_position,
     to_spectral,
 )
 from tbrevival.harness import revival_fraction
@@ -216,6 +218,22 @@ def test_predict_third_revival_at_third_chain_single_clone(chain500):
     assert abs(merged[0][1]) == pytest.approx(1.0, abs=1e-12)
 
 
+# the fractions p/q of test_prediction_equals_quadratic_evolution, as {q: numerators p}
+_NUMERATORS = {1: (1, 2), 2: (1, 5), 4: (3, 7), 5: (1, 2), 6: (1, 11), 7: (2, 15), 12: (5, 13)}
+
+
+def _clone_sum(prediction):
+    """The predicted state reassembled from its folded clones, as the method of images gives it.
+
+    sum_e w_e sin(k_n c_e) exp(-k_n^2/2 alpha^2) over the entries e, at unit norm.
+    """
+    chain, alpha = prediction.chain, prediction.spec.alpha
+    k = mode_wavenumbers(chain)
+    coeff = sum(e.weight * np.sin(k * e.center) for e in prediction.entries)
+    coeff = coeff * np.exp(-(k**2) / (2.0 * alpha**2))
+    return to_position(chain, coeff / np.linalg.norm(coeff))
+
+
 @pytest.mark.parametrize("q", [1, 2, 4, 5, 6, 7, 12])
 def test_prediction_equals_quadratic_evolution(chain500, q):
     # the clone sum resums the quadratic phases exactly, for p < q and p > q alike
@@ -232,9 +250,20 @@ def test_prediction_equals_quadratic_evolution(chain500, q):
             assert abs(inner_product(quad, pred.state)) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("q", sorted(_NUMERATORS))
+def test_prediction_equals_its_folded_clone_sum(chain500, q):
+    # the state from integer phases is the sum of the clones that entries lists
+    for center in (50.0, 501 / 4, 501 / 6):
+        spec = GaussianSpec.from_half_width(center=center, half_width=24.0)
+        for p in _NUMERATORS[q]:
+            pred = predict_state(chain500, spec, RevivalFraction(p, q))
+            assert np.abs(_clone_sum(pred) - pred.state).max() < 1e-12, (center, p, q)
+
+
 @pytest.mark.filterwarnings("ignore:packet has")  # wide packets on a short chain
 def test_prediction_has_exactly_q_clones():
-    # exactly q of the l Gauss coefficients b_r are nonzero, one clone each
+    # exactly q of the l Gauss coefficients b_r are nonzero, one clone each,
+    # and the clones sum to the predicted state
     chain = ChainSpec(n_sites=40)
     for center in (7.0, 41 / 4, 41 / 6, 41 / 3):
         spec = GaussianSpec.from_half_width(center=center, half_width=4.0)
@@ -243,6 +272,7 @@ def test_prediction_has_exactly_q_clones():
                 if np.gcd(p, q) == 1:
                     pred = predict_state(chain, spec, RevivalFraction(p, q))
                     assert len(pred.entries) == q, (center, p, q)
+                    assert np.abs(_clone_sum(pred) - pred.state).max() < 1e-12, (center, p, q)
 
 
 def test_prediction_warns_on_high_mode_weight(chain500):

@@ -14,9 +14,11 @@ from tbrevival import (
     packet_overlap,
     predict_state,
     reflect,
+    spmc_check,
     surviving_modes,
     to_spectral,
 )
+from tbrevival.wavepacket import _unit
 
 
 def test_width_parameterisations_are_exact_inverses():
@@ -51,6 +53,26 @@ def test_non_finite_widths_are_refused_by_name(build, fragment):
 def test_high_mode_weight_refuses_a_malformed_spectral_vector(coefficients):
     with pytest.raises(ValueError, match="norm|shape"):
         high_mode_weight(ChainSpec(50), coefficients)
+
+
+@pytest.mark.filterwarnings("error")  # no overflow RuntimeWarning on the way
+@pytest.mark.parametrize("entry", [1e200, 1e-200, -3e307j, 5e-324])
+def test_unit_guard_scales_large_and_tiny_finite_entries(entry):
+    vector = np.full(50, entry, dtype=complex)
+    vector[7] *= 2
+    unit = _unit(vector, "no weight")
+    expected = np.full(50, 1.0) / np.sqrt(53)
+    expected[7] *= 2
+    np.testing.assert_allclose(unit, expected * (entry / abs(entry)), rtol=1e-15, atol=0)
+    assert len(spmc_check(ChainSpec(50), vector).support) == 50
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vector", [np.zeros(50), np.full(50, np.nan), np.r_[np.inf, np.ones(49)]],
+                         ids=["zeros", "nan", "inf"])
+def test_unit_guard_still_refuses_a_vector_without_finite_weight(vector):
+    with pytest.raises(ValueError, match="^no weight$"):
+        _unit(vector.astype(complex), "no weight")
 
 
 def test_containment_flag():
