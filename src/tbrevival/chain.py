@@ -19,15 +19,19 @@ extension (Makhoul, IEEE TASSP 28, 27 (1980); Numerical Recipes, section
 12.3, ``sinft``); no N x N matrix is formed.  The transform and
 ``reflect`` also take an (M, N) stack of states, one per row.
 
-The public transforms cache nothing and return a fresh array each call.
-The evolution and the overlap kernel take their forward transform from the
-private ``_spectral``, which remembers one (input, output) pair, 32 B per
-site, until another input replaces it: a caller that evolves one state to
-several instants, or evolves it and then traces it, transforms it once.
+The public functions return fresh, writable arrays on every call.  Three
+private memos keep one entry each, read-only, until another key replaces
+it: ``_sines`` the sine row of every transform of one length (4 B per
+site), ``_energies`` the mode energies of one ``ChainSpec``, hopping
+included (8 B per site), and ``_spectral`` one forward transform, which
+the evolution and the overlap kernel take, as a copy of its input and its
+output (32 B per site): a caller that evolves one state to several
+instants, or evolves it and then traces it, transforms it once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,7 @@ __all__ = [
     "inner_product",
 ]
 
-# A trace plus one profile peaks at ~250 B per site (32 B of it _spectral's pair), so ~1 GB here.
+# A trace plus one profile peaks at ~265 B per site (44 B of it the memos), so ~1.1 GB here.
 _MAX_SITES = 2**22
 
 
@@ -92,6 +96,14 @@ def mode_energies(chain: ChainSpec) -> np.ndarray:
     return -2.0 * chain.hopping * np.cos(mode_wavenumbers(chain))
 
 
+@functools.lru_cache(maxsize=1)
+def _energies(chain: ChainSpec) -> np.ndarray:
+    """:func:`mode_energies`, read-only, kept for the last chain asked for."""
+    energies = mode_energies(chain)
+    energies.flags.writeable = False
+    return energies
+
+
 def mode_parities(chain: ChainSpec) -> np.ndarray:
     """Mirror eigenvalues (-1)^(n+1): mode n maps to itself times this under j -> N+1-j."""
     n = np.arange(1, chain.n_sites + 1)
@@ -128,6 +140,14 @@ def _as_state(chain: ChainSpec, state: np.ndarray, stack: bool = True) -> np.nda
     return arr
 
 
+@functools.lru_cache(maxsize=1)
+def _sines(m: int) -> np.ndarray:
+    """sqrt(0.5/m) sin(pi j/m) for j = 1..m//2, read-only, kept for the last length m = N+1."""
+    row = np.sqrt(0.5 / m) * np.sin(np.arange(1, m // 2 + 1) * (np.pi / m))
+    row.flags.writeable = False
+    return row
+
+
 def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     """Expand a position state over the standing-wave modes.
 
@@ -149,10 +169,9 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
     # normalisation sqrt(2/M), the factors 1/2, and the i of the even modes
     # on the antisymmetric part, whose transform is odd in k and so drops
     # out of Y_k + Y_{-k}.
-    scale = np.sqrt(0.5 / m)
     lo, hi = x[..., :c], x[..., ::-1][..., :c]
-    sym = (scale * np.sin(np.arange(1, c + 1) * (np.pi / m))) * (lo + hi)
-    anti = (0.5j * scale) * (lo - hi)
+    sym = _sines(m) * (lo + hi)
+    anti = (0.5j * np.sqrt(0.5 / m)) * (lo - hi)
     y = np.zeros(x.shape[:-1] + (m,), dtype=complex)
     np.add(sym, anti, out=y[..., 1 : c + 1])
     np.subtract(sym, anti, out=y[..., : m - c - 1 : -1])

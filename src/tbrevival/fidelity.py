@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainSpec, _spectral, mode_energies, mode_parities
+from .chain import ChainSpec, _energies, _spectral, mode_parities
 from .propagator import _check_instants, _instant_times
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
@@ -90,7 +90,7 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     odd = kept & (mode_parities(chain) > 0)
     order = np.concatenate((np.flatnonzero(odd), np.flatnonzero(kept & ~odd)))
     split = np.count_nonzero(odd)
-    w, energies = w[:, order], mode_energies(chain)[order]
+    w, energies = w[:, order], _energies(chain)[order]
     states, modes = w.shape
     count = len(times)
     if count * modes * states > _MAX_TRACE_WORK:

@@ -143,10 +143,11 @@ class Scenario:
     """A run description (centers still symbolic, see resolve_center).
 
     Its field defaults are a config's.  Built directly or parsed, a scenario
-    keeps every rule that ties its fields together (``_SCENARIO_RULES``) or
-    is a ``ValueError`` at once; its messages name the config keys.  Each
-    value on its own (a center expression, a width, the chain size) is
-    checked by the parser, or when the scenario is used.
+    keeps every rule that ties its fields together, and the grid's size and
+    bounds (``_SCENARIO_RULES``), or is a ``ValueError`` at once; its
+    messages name the config keys.  Each other value on its own (a center
+    expression, a width, the chain size) is checked by the parser, or when
+    the scenario is used.
     """
 
     sites: int
@@ -189,7 +190,8 @@ class Scenario:
 
     def gaussian_spec(self) -> GaussianSpec:
         if self.kind != "gaussian":
-            raise ConfigError(0, "this operation needs a single-packet (gaussian) initial")
+            raise ValueError("this operation needs a single-packet (gaussian) initial, "
+                             f"not a {self.kind}")
         return GaussianSpec(center=self.centers()[0], alpha=self.packet_alpha())
 
     def grid(self):
@@ -241,6 +243,10 @@ _SCENARIO_RULES = (
      and s.time_denominator is None and "time needs points or denominator"),
     (None, lambda s: s.time_points is not None and s.time_denominator is not None
      and "time takes points or denominator, not both"),
+    (("time", "points"), lambda s: s.time_points is not None and s.time_points < 1
+     and f"points {s.time_points!r} is not a positive integer"),
+    (("time", "denominator"), lambda s: s.time_denominator is not None and s.time_denominator < 1
+     and f"denominator {s.time_denominator!r} is not a positive integer"),
     (("initial", "centers"), lambda s: not s.center_exprs and "centers is empty"),
     (("time", "denominator"), lambda s: s.time_start is not None and s.time_denominator
      and _grid_refusal(s)),
@@ -421,8 +427,8 @@ def _scenario(entries) -> Scenario:
     keep("initial", "alpha", _positive_float)
     keep("time", "start", _finite_float, "time_start")
     keep("time", "stop", _finite_float, "time_stop")
-    keep("time", "points", _positive_int, "time_points")
-    keep("time", "denominator", _positive_int, "time_denominator")
+    keep("time", "points", int, "time_points")
+    keep("time", "denominator", int, "time_denominator")
     keep("metrics", "fraction_cap", _positive_int)
     keep("metrics", "profiles_at", _list(_finite_float))
     keep("output", "prefix", str)

@@ -3,7 +3,8 @@
 Evolution is spectral: transform to the mode basis, multiply phases
 exp(-i e_n t), transform back.  This is exact to machine precision and
 costs one O(N log N) sine transform each way; the forward one is reused
-while the same state is evolved again (``chain._spectral``).
+while the same state is evolved again (``chain._spectral``), and the
+energies and the revival clock while the chain stays the same.
 
 For a low-energy packet the offset-removed spectrum is nearly quadratic,
 
@@ -24,11 +25,12 @@ time is given.  A stacked evolution of more than 2**23 site-profiles
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _spectral, mode_energies, to_position
+from .chain import ChainSpec, _energies, _spectral, to_position
 
 __all__ = [
     "RevivalClock",
@@ -51,6 +53,7 @@ class RevivalClock:
     revival_time: float
 
 
+@functools.lru_cache(maxsize=1)  # kept for the last chain: a RevivalClock is immutable
 def revival_clock(chain: ChainSpec) -> RevivalClock:
     spacing = chain.hopping * np.pi**2 / (chain.n_sites + 1) ** 2
     return RevivalClock(level_spacing=spacing, revival_time=np.pi / spacing)
@@ -88,7 +91,7 @@ def _evolve(chain: ChainSpec, state: np.ndarray, t, energies) -> np.ndarray:
         raise ValueError(f"{np.size(t)} instants x {chain.n_sites} sites exceed the bound of "
                          f"{_MAX_SITE_PROFILES} site-profiles")
     return to_position(chain, _spectral(chain, state)
-                       * np.exp(-1j * energies(chain) * np.expand_dims(t, -1)))
+                       * np.exp(energies(chain) * (-1j * np.expand_dims(t, -1))))
 
 
 def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -96,7 +99,7 @@ def evolve_exact(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> 
 
     A 1-D array of T instants gives (T, N), one row per instant: one stacked evolution.
     """
-    return _evolve(chain, state, t, mode_energies)
+    return _evolve(chain, state, t, _energies)
 
 
 def evolve_quadratic(chain: ChainSpec, state: np.ndarray, t: float | np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ phase p n^2 mod 2q in O(N) for any q.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -51,7 +52,8 @@ import numpy as np
 from .chain import ChainSpec, mode_energies, mode_parities, reflect, to_position, to_spectral
 from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
-    GaussianSpec, _unit_coefficients, build_gwp_spectral, high_mode_weight, surviving_modes,
+    GaussianSpec, _unit_coefficients, _warn_if_not_contained, build_gwp_spectral,
+    high_mode_weight, surviving_modes,
 )
 
 __all__ = [
@@ -137,6 +139,7 @@ class GaussCoefficients:
         return complex(self.values[self.period // 2])
 
 
+@functools.lru_cache(maxsize=8)  # 8 tables of at most 2**18 entries: 32 MiB at most
 def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     """b_r = (1/l) sum_n exp(i(2 pi n r/l - p n^2 pi/q)).
 
@@ -145,10 +148,14 @@ def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     integers, which keeps the inverse DFT exact.  Satisfies b_r = b_{l-r} and
     |b_r|^2 in {0, 1/q}; the mirror weight |b_{l/2}| is 1/sqrt(q) for odd p
     and 0 for even p.  A table past 2**18 entries is refused before it is built.
+
+    Each table is built once and shared: the tables of the last 8 fractions
+    asked for are kept, and their ``values`` are read-only.
     """
     l = fourier_period(fraction.denominator)
-    phases = _quadratic_phases(fraction, np.arange(l, dtype=np.int64))
-    return GaussCoefficients(period=l, values=np.fft.ifft(phases))
+    values = np.fft.ifft(_quadratic_phases(fraction, np.arange(l, dtype=np.int64)))
+    values.flags.writeable = False
+    return GaussCoefficients(period=l, values=values)
 
 
 def _quadratic_phases(fraction: RevivalFraction, n: np.ndarray) -> np.ndarray:
@@ -209,6 +216,28 @@ class SubPacketPrediction:
         return [(c, w) for c, w in groups if abs(w) > 1e-9]
 
 
+# The last (chain, spec) predict_state was given, and its read-only packet and high-mode weight.
+_last_packet: tuple = (None, None)
+
+
+def _recall(chain: ChainSpec, spec: GaussianSpec) -> tuple[np.ndarray, float] | None:
+    """The kept (packet, high-mode weight) of (chain, spec), warning as building warns; or None."""
+    key, kept = _last_packet  # one read: another thread may replace the pair
+    if key != (chain, spec):
+        return None
+    _warn_if_not_contained(chain, spec)
+    return kept
+
+
+def _remember(chain: ChainSpec, spec: GaussianSpec, packet: np.ndarray) -> tuple:
+    """Keep ``packet``, read-only, with its high-mode weight, in place of the last one kept."""
+    global _last_packet
+    packet.flags.writeable = False
+    kept = packet, high_mode_weight(chain, packet)
+    _last_packet = ((chain, spec), kept)
+    return kept
+
+
 def predict_state(
     chain: ChainSpec, spec: GaussianSpec, fraction: RevivalFraction
 ) -> SubPacketPrediction:
@@ -221,13 +250,18 @@ def predict_state(
     sum of the clones that ``entries`` lists (centers folded into the chain,
     Gauss-sum weights with their fold signs); comparing the state against
     the exact propagator measures only the quartic dispersion error.
+
+    The Gauss table (see :func:`gauss_coefficients`) and the packet's mode
+    coefficients with their high-mode weight, kept for the last (chain,
+    spec), are shared and read-only; the containment and high-mode warnings
+    are given on every call.
     """
     coeffs = gauss_coefficients(fraction)
     l, b = coeffs.period, coeffs.values
     L = chain.n_sites + 1
 
-    packet = build_gwp_spectral(chain, spec)
-    tail = high_mode_weight(chain, packet)
+    # one line, so that a remembered packet repeats build_gwp_spectral's warning from here
+    packet, tail = _recall(chain, spec) or _remember(chain, spec, build_gwp_spectral(chain, spec))
     if tail > 1e-6:
         warnings.warn(
             f"packet has {tail:.2e} of its weight outside the low-energy "

@@ -17,6 +17,8 @@ from tbrevival import (
     inner_product,
     mirror_fidelity,
     mode_energies,
+    mode_parities,
+    mode_wavenumbers,
     reflect,
     to_position,
     to_spectral,
@@ -315,3 +317,37 @@ def test_threads_sharing_the_remembered_transform_each_get_their_own_state():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_remembered_mode_tables_are_read_only_and_the_public_ones_fresh(cold_memos):
+    chain = ChainSpec(n_sites=50, hopping=2.5)
+    sines, energies = chain_module._sines(51), chain_module._energies(chain)
+    assert not sines.flags.writeable and not energies.flags.writeable
+    row = np.sqrt(0.5 / 51) * np.sin(np.arange(1, 26) * (np.pi / 51))
+    assert sines.tobytes() == row.tobytes()
+    assert energies.tobytes() == mode_energies(chain).tobytes()
+    for build in (mode_wavenumbers, mode_energies, mode_parities):
+        a, b = build(chain), build(chain)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, energies)
+
+
+def test_evolution_is_bit_identical_with_memos_cold_and_warm(cold_memos):
+    # same N, different hopping: a memo keyed without the hopping serves the wrong energies
+    chains = [ChainSpec(n_sites=120, hopping=1.0), ChainSpec(n_sites=120, hopping=2.5)]
+    state = random_state(np.random.default_rng(3), 120)
+    times = (7.5, np.array([0.0, -2.0, 40.0]))
+
+    def run(chain):
+        return [evolve_exact(chain, state, t).tobytes() for t in times] + [
+            np.complex128(autocorrelation(chain, state, 7.5)).tobytes()]
+
+    cold = []
+    for chain in chains:
+        cold_memos()
+        cold.append(run(chain))
+    assert cold[0] != cold[1]
+    for _ in range(3):
+        for chain, expected in zip(chains, cold):
+            assert run(chain) == expected

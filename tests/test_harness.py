@@ -96,6 +96,16 @@ _DIRECT = dict(sites=500, center_exprs=("50",), half_width=24.0)
                      id="no-grid-size"),
         pytest.param(dict(time_points=3, time_denominator=10), "not both",
                      id="points-and-denominator"),
+        pytest.param(dict(time_start=0.0, time_stop=1.0, time_points=0),
+                     "points 0 is not a positive integer", id="zero-points"),
+        pytest.param(dict(time_start=0.0, time_stop=1.0, time_points=-3),
+                     "points -3 is not a positive integer", id="negative-points"),
+        pytest.param(dict(time_points=0), "points 0 is not a positive integer",
+                     id="zero-points-without-grid"),
+        pytest.param(dict(time_start=0.0, time_stop=1.0, time_denominator=0),
+                     "denominator 0 is not a positive integer", id="zero-denominator"),
+        pytest.param(dict(time_start=0.0, time_stop=1.0, time_denominator=-3),
+                     "denominator -3 is not a positive integer", id="negative-denominator"),
     ],
 )
 def test_direct_scenario_keeps_the_field_rules(fields, fragment):
@@ -104,6 +114,13 @@ def test_direct_scenario_keeps_the_field_rules(fields, fragment):
     assert not isinstance(err.value, ConfigError)  # no config is involved
     with pytest.raises(ValueError, match=fragment):  # replace() builds anew
         replace(Scenario(**_DIRECT), **fields)
+
+
+def test_gaussian_spec_of_a_superposition_is_a_plain_value_error():
+    scenario = Scenario(sites=40, kind="superposition", center_exprs=("10", "20"), half_width=6.0)
+    with pytest.raises(ValueError, match="needs a single-packet .* not a superposition") as err:
+        scenario.gaussian_spec()
+    assert not isinstance(err.value, ConfigError)  # no config is involved
 
 
 def test_parse_config_happy_path():
@@ -159,6 +176,7 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
         ("center = 20", "center = N/0", "divides by zero"),
         ("points = 21", "denominator = 0", "not a positive integer"),
         ("points = 21", "points = -3", "not a positive integer"),
+        ("points = 21", "points = 0", "not a positive integer"),
         ("profiles_at = 0.25", "fraction_cap = 0", "not a positive integer"),
         ("sites = 120", "sites = 1", "not an integer >= 2"),
         pytest.param("sites = 120", f"sites = {10**400}", "too large", id="sites-10**400"),
@@ -384,8 +402,8 @@ def field_sets(draw):
     time = {
         "time_start": st.just(start),
         "time_stop": st.floats(1e-3, 4).map(lambda d: start + d) | st.floats(-4, 4) | _FAR_END,
-        "time_points": st.integers(1, 64) | st.just(2**20 + 1),
-        "time_denominator": st.integers(1, 64) | st.just(10**17),
+        "time_points": st.integers(1, 64) | st.sampled_from([2**20 + 1, 0, -3]),
+        "time_denominator": st.integers(1, 64) | st.sampled_from([10**17, 0, -3]),
     }
     keys = sorted(draw(st.sampled_from([(), ("time_start", "time_stop"), ("time_points",)])
                        | st.sets(st.sampled_from(sorted(time)))))

@@ -1,3 +1,9 @@
+import sys
+import threading
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -417,3 +423,81 @@ def test_open_question_center_convention(chain500, clock500):
         results[label] = abs(inner_product(target, evolve_exact(chain500, initial, t))) ** 2
     assert results["plus-one"] == pytest.approx(0.98687, abs=1e-3)
     assert results["plus-one"] >= results["literal"]
+
+
+@pytest.mark.filterwarnings("ignore:packet")  # narrow and edge packets on short chains
+def test_prediction_is_bit_identical_with_memos_cold_and_warm(cold_memos):
+    # same N with two hoppings, another N, and p/q with one q: a key without any of them fails
+    chains = [ChainSpec(120, 1.0), ChainSpec(120, 2.5), ChainSpec(121, 1.0)]
+    specs = [GaussianSpec.from_half_width(30.0, 8.0), GaussianSpec.from_half_width(40.5, 3.0)]
+    fractions = [RevivalFraction(1, 3), RevivalFraction(2, 5), RevivalFraction(2, 3)]
+
+    def run(chain, spec, fraction):
+        pred = predict_state(chain, spec, fraction)
+        evolved = evolve_exact(chain, build_gwp(chain, spec), fraction.time(chain))
+        return pred.state.tobytes(), pred.entries, evolved.tobytes()
+
+    by_chain = [(c, s, f) for c in chains for s in specs for f in fractions]
+    by_fraction = [(c, s, f) for f in fractions for s in specs for c in chains]
+    cold = {}
+    for case in by_chain:
+        cold_memos()
+        cold[case] = run(*case)
+    # warm: one chain with each packet in turn, then one packet on each chain in turn
+    for case in by_chain + by_fraction:
+        assert run(*case) == cold[case], case
+    assert gauss_coefficients(fractions[0]) is gauss_coefficients(fractions[0])
+
+
+def test_prediction_warns_on_every_call_from_one_line(cold_memos):
+    chain = ChainSpec(n_sites=40)
+    spec = GaussianSpec.from_half_width(center=2.0, half_width=2.0)  # at the edge, and narrow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):  # the packet is built once, then remembered
+            predict_state(chain, spec, RevivalFraction(1, 3))
+    contained = [w for w in caught if "not fully contained" in str(w.message)]
+    high = [w for w in caught if "outside the low-energy quarter" in str(w.message)]
+    assert len(contained) == 3 and len(high) == 3 and len(caught) == 6
+    assert len({(w.filename, w.lineno) for w in contained}) == 1
+    assert Path(contained[0].filename).name == "revival.py"
+    assert {w.filename for w in high} == {__file__}
+
+
+def test_threads_sharing_the_remembered_packet_each_get_their_own_prediction(cold_memos):
+    chain, fraction = ChainSpec(n_sites=64), RevivalFraction(2, 5)
+    specs = [GaussianSpec.from_half_width(20.0 + 3 * i, 12.0) for i in range(6)]
+    expected = [predict_state(chain, spec, fraction).state.tobytes() for spec in specs]
+    wrong = []
+
+    def work(i):
+        for _ in range(200):
+            if predict_state(chain, specs[i], fraction).state.tobytes() != expected[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_remembered_gauss_tables_are_read_only_and_bounded(cold_memos):
+    # 20 fractions with odd q near 2**17, each a table of 2q ~ 2**18 entries
+    denominators = [2**17 - 1 - 2 * k for k in range(20)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q in denominators:
+            assert not gauss_coefficients(RevivalFraction(1, q)).values.flags.writeable
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 7 * 2**18 * 16 < retained <= 8 * 2**18 * 16  # the last 8 tables, 32 MiB at most
