@@ -34,10 +34,12 @@ The instant rule: an instant g in units of t_rev is finite with |g| < 2**53,
 and it is checked before it becomes the time g t_rev.
 
 Lines starting with '#' and blank lines are ignored; inline '# ...'
-comments are stripped.  Unknown sections or keys, duplicate keys and
-malformed values are errors carrying the 1-based line number; so is a broken
-rule between keys (``_SCENARIO_RULES``, ``_SWEEP_RULES``), on the line of the
-key it blames (0 when it blames none).
+comments are stripped.  Unknown sections or keys, duplicate keys and text
+that does not convert to its key's type are errors carrying the 1-based line
+number.  Every value rule, on one value or between keys, belongs to the class
+(``_SCENARIO_RULES``, ``_SWEEP_RULES``) and is checked at construction, for a
+parsed scenario as for one built directly; from a config, a broken rule is an
+error on the line of the key it blames (0 when it blames none).
 
 Center expressions: a plain number, ``aN/m`` (e.g. ``N/3``, ``2N/3``) or
 ``a(N+1)/m``.  Under the default ``plus-one`` convention ``aN/m`` resolves
@@ -65,7 +67,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,12 +144,11 @@ class DenominatorGrid:
 class Scenario:
     """A run description (centers still symbolic, see resolve_center).
 
-    Its field defaults are a config's.  Built directly or parsed, a scenario
-    keeps every rule that ties its fields together, and the grid's size and
-    bounds (``_SCENARIO_RULES``), or is a ``ValueError`` at once; its
-    messages name the config keys.  Each other value on its own (a center
-    expression, a width, the chain size) is checked by the parser, or when
-    the scenario is used.
+    Its field defaults are a config's.  Built directly, by ``replace()`` or
+    parsed, a scenario keeps every value rule (``_SCENARIO_RULES``): each
+    value on its own, the rules that tie fields together, and the grid's size
+    and bounds; or it is a ``ValueError`` at once, whose message names the
+    config key.
     """
 
     sites: int
@@ -221,54 +222,101 @@ def _grid_refusal(s: Scenario) -> str | None:
     return None
 
 
-# Every rule that ties a Scenario's fields together, in the order they are
-# checked: the (section, key) a refusal blames in a config (None blames no
-# line), and a test that gives the refusal's message, or a false value while
-# the rule holds.  Each test is O(1): they run for every scenario built,
-# replace()d or parsed.
-_SCENARIO_RULES = (
-    (("initial", "kind"), lambda s: s.kind not in _KINDS
-     and f"kind {s.kind!r} is not one of {', '.join(_KINDS)}"),
-    (("initial", "center"), lambda s: s.kind == "gaussian" and len(s.center_exprs) != 1
-     and f"gaussian initial needs one center, got center_exprs {s.center_exprs!r}"),
-    (("initial", "weights"), lambda s: s.weights is not None
-     and len(s.weights) != len(s.center_exprs) and "weights must match the number of centers"),
-    (None, lambda s: (s.half_width is None) == (s.alpha is None)
-     and "initial needs exactly one of half_width or alpha"),
-    (None, lambda s: (s.time_start is None) != (s.time_stop is None)
-     and "time needs both start and stop"),
-    (("time", "stop"), lambda s: s.time_start is not None and not s.time_start < s.time_stop
-     and f"stop {s.time_stop!r} is not after start {s.time_start!r}"),
-    (None, lambda s: s.time_start is not None and s.time_points is None
-     and s.time_denominator is None and "time needs points or denominator"),
-    (None, lambda s: s.time_points is not None and s.time_denominator is not None
-     and "time takes points or denominator, not both"),
-    (("time", "points"), lambda s: s.time_points is not None and s.time_points < 1
-     and f"points {s.time_points!r} is not a positive integer"),
-    (("time", "denominator"), lambda s: s.time_denominator is not None and s.time_denominator < 1
-     and f"denominator {s.time_denominator!r} is not a positive integer"),
-    (("initial", "centers"), lambda s: not s.center_exprs and "centers is empty"),
-    (("time", "denominator"), lambda s: s.time_start is not None and s.time_denominator
-     and _grid_refusal(s)),
-    (("time", "points"), lambda s: s.time_start is not None and not s.time_denominator
-     and _grid_refusal(s)),
-)
-
-
 class _Broken(ValueError):
-    """A broken field rule; ``key`` is the config key it blames, or None."""
+    """A broken rule; ``field`` is the field whose config key it blames, or None."""
 
-    def __init__(self, key: tuple[str, str] | None, message: str):
-        self.key = key
+    def __init__(self, field: str | None, message: str):
+        self.field = field
         super().__init__(message)
 
 
 def _check(rules, obj) -> None:
     """Raise :class:`_Broken` for the first of ``rules`` that ``obj`` breaks."""
-    for key, refusal in rules:
+    for field, refusal in rules:
         message = refusal(obj)
         if message:
-            raise _Broken(key, message)
+            raise _Broken(field, message)
+
+
+# What a value must be: a test of the value and of the object that holds it,
+# and the words that end "<key> <value> is not ...", formatted with the object.
+_FINITE = (lambda v, _: abs(v) < math.inf, "finite")
+_POSITIVE = (lambda v, _: v > 0, "positive")
+_COUNT = (lambda v, _: v >= 1, "a positive integer")
+_AFTER_START = (lambda v, s: s.time_start is None or s.time_start < v,
+                "after start {0.time_start!r}")
+
+
+def _one_of(options: tuple[str, ...]):
+    return (lambda v, _: v in options), f"one of {', '.join(options)}"
+
+
+def _each(field: str, *musts, build=lambda v, obj: None):
+    """The rule-table row for each value of ``field``: its entries, or itself unless None.
+
+    A value's refusal names its config key (the field without ``time_``) and
+    every one of ``musts`` it breaks; if none, ``build(value, obj)`` may still
+    refuse it with its own ``ValueError``.
+    """
+    name = field.removeprefix("time_")
+
+    def refusal(obj):
+        value = getattr(obj, field)
+        for v in value if isinstance(value, (tuple, list)) else () if value is None else (value,):
+            missed = [what.format(obj) for test, what in musts if not test(v, obj)]
+            if missed:
+                return f"{name} {v!r} is not {' and not '.join(missed)}"
+            try:
+                build(v, obj)
+            except ValueError as exc:
+                return str(exc)
+    return field, refusal
+
+
+_KINDS = ("gaussian", "superposition")
+_CONVENTIONS = ("plus-one", "literal")
+_SWEEP_VARIABLES = ("half_width", "sites", "center")
+_SWEEP_METRICS = ("fractional_fidelity", "mirror_fidelity", "autocorrelation")
+
+# Every rule a Scenario keeps, in the order they are checked: the field whose
+# config key a refusal blames (None blames none), and a test that gives the
+# refusal's message, or a false value while the rule holds.  Each value is
+# checked on its own first, so a config with two faults reports its bad value
+# before a broken rule between fields.  No test builds a grid or a state:
+# they run for every scenario built, replace()d or parsed.
+_SCENARIO_RULES = (
+    _each("sites", build=lambda n, _: ChainSpec(n)),
+    _each("hopping", _FINITE, build=lambda j, s: ChainSpec(s.sites, j)),
+    _each("kind", _one_of(_KINDS)),
+    _each("convention", _one_of(_CONVENTIONS)),
+    _each("center_exprs", build=lambda e, s: resolve_center(e, s.sites, s.convention)),
+    _each("weights", _FINITE),
+    _each("half_width", _FINITE, _POSITIVE, build=lambda w, _: GaussianSpec.from_half_width(0, w)),
+    _each("alpha", _FINITE, _POSITIVE),
+    _each("time_start", _FINITE),
+    _each("time_stop", _AFTER_START, _FINITE),
+    _each("time_points", _COUNT),
+    _each("time_denominator", _COUNT),
+    _each("fraction_cap", _COUNT),
+    _each("profiles_at", _FINITE),
+    ("center_exprs", lambda s: s.kind == "gaussian" and len(s.center_exprs) != 1
+     and f"gaussian initial needs one center, got center_exprs {s.center_exprs!r}"),
+    ("weights", lambda s: s.weights is not None and len(s.weights) != len(s.center_exprs)
+     and "weights must match the number of centers"),
+    (None, lambda s: (s.half_width is None) == (s.alpha is None)
+     and "initial needs exactly one of half_width or alpha"),
+    (None, lambda s: (s.time_start is None) != (s.time_stop is None)
+     and "time needs both start and stop"),
+    (None, lambda s: s.time_start is not None and s.time_points is None
+     and s.time_denominator is None and "time needs points or denominator"),
+    (None, lambda s: s.time_points is not None and s.time_denominator is not None
+     and "time takes points or denominator, not both"),
+    ("center_exprs", lambda s: not s.center_exprs and "centers is empty"),
+    ("time_denominator", lambda s: s.time_start is not None and s.time_denominator
+     and _grid_refusal(s)),
+    ("time_points", lambda s: s.time_start is not None and not s.time_denominator
+     and _grid_refusal(s)),
+)
 
 
 _CENTER_RE = re.compile(r"^(\d*)N/(\d+)$")
@@ -286,24 +334,17 @@ def resolve_center(expr: str, sites: int, convention: str = "plus-one") -> float
         if divisor == 0:
             raise ValueError(f"center {expr!r} divides by zero")
         plus_one = m.re is _CENTER_PLUS_RE or convention == "plus-one"
-        return a * (sites + 1 if plus_one else sites) / divisor
+        try:
+            return a * (sites + 1 if plus_one else sites) / divisor
+        except OverflowError:  # a * N / m past the float range
+            raise ValueError(f"center {expr!r} is not finite") from None
     try:
         value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse center expression {expr!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"center {expr!r} is not finite")
     return value
-
-
-_SECTIONS = {
-    "chain": {"sites", "hopping"},
-    "initial": {"kind", "center", "centers", "weights", "half_width", "alpha", "convention"},
-    "time": {"start", "stop", "points", "denominator"},
-    "metrics": {"fraction_cap", "profiles_at"},
-    "output": {"prefix"},
-    "sweep": {"variable", "values", "metric", "fraction"},
-}
 
 
 def _parse_entries(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -325,7 +366,7 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError(lineno, "key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _SECTIONS[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(lineno, f"unknown key {key!r} in section [{section}]")
         if key in entries[section]:
             raise ConfigError(lineno, f"duplicate key {key!r} in section [{section}]")
@@ -333,68 +374,51 @@ def _parse_entries(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return entries
 
 
-def _get(entries, section, key, convert, default=None, required=False):
-    if section not in entries or key not in entries[section]:
-        if required:
-            raise ConfigError(0, f"missing required key {key!r} in section [{section}]")
-        return default
-    value, lineno = entries[section][key]
-    try:
-        return convert(value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(lineno, f"bad value for {key!r}: {exc}") from None
-
-
-def _finite_float(value: str) -> float:
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
-    return number
-
-
-def _positive_float(value: str) -> float:
-    number = _finite_float(value)
-    if number <= 0:
-        raise ValueError(f"{value!r} is not positive")
-    return number
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"{value!r} is not a positive integer")
-    return number
-
-
 def _list(convert):
     return lambda value: tuple(convert(v.strip()) for v in value.split(",") if v.strip())
 
 
-def _choice(options: tuple[str, ...]):
-    def convert(value: str) -> str:
-        if value.lower() not in options:
-            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
-        return value.lower()
-    return convert
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} is not a fraction p/q with q > 0") from None
 
 
 def revival_fraction(text: str) -> RevivalFraction:
     """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
-    try:
-        value = Fraction(text)
-        _instant_times(float(value))  # p/q is an instant: it must pass the instant rule
-    except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"{text!r} is not a fraction p/q with q > 0 that fits a float") from None
+    value = _fraction(text)  # RevivalFraction applies the instant rule, in integers
     fourier_period(value.denominator)  # refuses a q whose Gauss table would be too large
     return RevivalFraction(value.numerator, value.denominator)
 
 
-_KINDS = ("gaussian", "superposition")
-_CONVENTIONS = ("plus-one", "literal")
-_SWEEP_VARIABLES = ("half_width", "sites", "center")
-_SWEEP_METRICS = ("fractional_fidelity", "mirror_fidelity", "autocorrelation")
+# The field each config key gives, and how its text converts: to a type and
+# no further, since every value rule is its class's.  A gaussian's
+# center_exprs is read from ``center`` and any other's from ``centers``, and
+# a sweep's values as its variable reads them (parse_sweep).
+_KEYS = {
+    ("chain", "sites"): ("sites", int),
+    ("chain", "hopping"): ("hopping", float),
+    ("initial", "kind"): ("kind", str.lower),
+    ("initial", "center"): ("center_exprs", lambda v: (v,)),
+    ("initial", "centers"): ("center_exprs", _list(str)),
+    ("initial", "weights"): ("weights", _list(float)),
+    ("initial", "half_width"): ("half_width", float),
+    ("initial", "alpha"): ("alpha", float),
+    ("initial", "convention"): ("convention", str.lower),
+    ("time", "start"): ("time_start", float),
+    ("time", "stop"): ("time_stop", float),
+    ("time", "points"): ("time_points", int),
+    ("time", "denominator"): ("time_denominator", int),
+    ("metrics", "fraction_cap"): ("fraction_cap", int),
+    ("metrics", "profiles_at"): ("profiles_at", _list(float)),
+    ("output", "prefix"): ("prefix", str),
+    ("sweep", "variable"): ("variable", str.lower),
+    ("sweep", "values"): ("values", _list(float)),
+    ("sweep", "metric"): ("metric", str.lower),
+    ("sweep", "fraction"): ("fraction", _fraction),
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_config(text: str) -> Scenario:
@@ -403,45 +427,32 @@ def parse_config(text: str) -> Scenario:
 
 
 def _scenario(entries) -> Scenario:
-    sites = _get(entries, "chain", "sites", lambda v: ChainSpec(int(v)).n_sites, required=True)
-    given = {"sites": sites}  # None marks a key the config omits: Scenario's default holds
-
-    def keep(section, key, convert, field=None):
-        given[field or key] = value = _get(entries, section, key, convert)
-        return value
-
-    keep("chain", "hopping", lambda v: ChainSpec(sites, _finite_float(v)).hopping)
-    kind = keep("initial", "kind", _choice(_KINDS)) or Scenario.kind
-    convention = keep("initial", "convention", _choice(_CONVENTIONS)) or Scenario.convention
-
-    def center(expr: str) -> str:
-        resolve_center(expr, sites, convention)
-        return expr
-
-    if kind == "gaussian":
-        keep("initial", "center", lambda v: (center(v),), "center_exprs")
-    else:
-        keep("initial", "centers", _list(center), "center_exprs")
-    keep("initial", "weights", _list(_finite_float))
-    keep("initial", "half_width", _positive_float)
-    keep("initial", "alpha", _positive_float)
-    keep("time", "start", _finite_float, "time_start")
-    keep("time", "stop", _finite_float, "time_stop")
-    keep("time", "points", int, "time_points")
-    keep("time", "denominator", int, "time_denominator")
-    keep("metrics", "fraction_cap", _positive_int)
-    keep("metrics", "profiles_at", _list(_finite_float))
-    keep("output", "prefix", str)
-    return _built(entries, Scenario, {f: v for f, v in given.items() if v is not None})
+    kind = entries.get("initial", {}).get("kind", (Scenario.kind,))[0].lower()
+    unread = ("initial", "centers" if kind == "gaussian" else "center")
+    return _built(entries, Scenario, {k: v for k, v in _KEYS.items() if k != unread})
 
 
-def _built(entries, cls, fields: dict):
-    """``cls(**fields)``; a broken field rule is a ConfigError on the line of the key it blames."""
+def _built(entries, cls, keys: dict, **given):
+    """``cls`` from ``given`` and its fields' keys in ``entries``; each fault is a ConfigError.
+
+    Text that does not convert, a missing required key and a broken rule are
+    each reported on the line of the key at fault (0 when there is none).
+    """
+    required = {f.name: f.default is MISSING for f in fields(cls)}  # for each field of cls
+    lines = {}
+    for (section, key), (field, convert) in keys.items():
+        if field in required and key in entries.get(section, {}):
+            text, lines[field] = entries[section][key]
+            try:
+                given[field] = convert(text)
+            except ValueError as exc:
+                raise ConfigError(lines[field], f"bad value for {key!r}: {exc}") from None
+        elif required.get(field) and field not in given:
+            raise ConfigError(0, f"missing required key {key!r} in section [{section}]")
     try:
-        return cls(**fields)
+        return cls(**given)
     except _Broken as exc:
-        section, key = exc.key or (None, None)
-        raise ConfigError(entries.get(section, {}).get(key, (None, 0))[1], str(exc)) from None
+        raise ConfigError(lines.get(exc.field, 0), str(exc)) from None
 
 
 def _parse_gaussian(text: str) -> Scenario:
@@ -454,19 +465,14 @@ def _parse_gaussian(text: str) -> Scenario:
     return scenario
 
 
-def _fraction_refusal(spec: SweepSpec) -> str | None:
-    try:
-        revival_fraction(str(spec.fraction))
-    except ValueError as exc:
-        return str(exc)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-variable sweep of a scalar metric evaluated at a fixed fraction of t_rev.
 
-    Built directly or parsed, it keeps ``_SWEEP_RULES`` or is a ``ValueError`` at once: a
-    fidelity metric needs a gaussian base, and ``fraction`` must pass :func:`revival_fraction`.
+    Built directly, by ``replace()`` or parsed, it keeps every value rule (``_SWEEP_RULES``)
+    or is a ``ValueError`` at once: a known variable and metric, each value as its
+    variable's own key reads it (its swept scenario must build), a fidelity metric only on
+    a gaussian base, and a ``fraction`` that :func:`revival_fraction` accepts.
     """
 
     base: Scenario
@@ -479,16 +485,23 @@ class SweepSpec:
         _check(_SWEEP_RULES, self)
 
 
+def _swept(spec: SweepSpec, value: float) -> Scenario:
+    if spec.variable == "half_width":
+        return replace(spec.base, half_width=value, alpha=None)
+    if spec.variable == "sites":
+        return replace(spec.base, sites=value)
+    return replace(spec.base, center_exprs=(repr(value),))
+
+
 # SweepSpec's rules, laid out as _SCENARIO_RULES are.
 _SWEEP_RULES = (
-    (("sweep", "variable"), lambda w: w.variable not in _SWEEP_VARIABLES
-     and f"unknown sweep variable {w.variable!r}"),
-    (("sweep", "metric"), lambda w: w.metric not in _SWEEP_METRICS
-     and f"unknown sweep metric {w.metric!r}"),
-    (("sweep", "values"), lambda w: not w.values and "sweep needs at least one value"),
-    (("sweep", "metric"), lambda w: w.metric != "autocorrelation" and w.base.kind != "gaussian"
+    _each("variable", _one_of(_SWEEP_VARIABLES)),
+    _each("metric", _one_of(_SWEEP_METRICS)),
+    _each("values", build=lambda v, w: _swept(w, v)),
+    _each("fraction", build=lambda f, _: revival_fraction(str(f))),
+    ("values", lambda w: not w.values and "sweep needs at least one value"),
+    ("metric", lambda w: w.metric != "autocorrelation" and w.base.kind != "gaussian"
      and f"metric {w.metric} needs a single-packet (gaussian) initial, not a {w.base.kind}"),
-    (("sweep", "fraction"), _fraction_refusal),
 )
 
 
@@ -498,19 +511,10 @@ def parse_sweep(text: str) -> SweepSpec:
     base = _scenario(entries)
     if "sweep" not in entries:
         raise ConfigError(0, "missing [sweep] section")
-    variable = _get(entries, "sweep", "variable", _choice(_SWEEP_VARIABLES), required=True)
-    swept = {  # each swept value is read as its own key would be
-        "sites": lambda v: ChainSpec(int(v), base.hopping).n_sites,
-        "half_width": _positive_float,
-        "center": lambda v: resolve_center(v, base.sites, base.convention),
-    }[variable]
-    values = _get(entries, "sweep", "values", _list(swept), required=True)
-    metric = _get(entries, "sweep", "metric", _choice(_SWEEP_METRICS), default=SweepSpec.metric)
-    fraction = _get(entries, "sweep", "fraction", revival_fraction, default=SweepSpec.fraction)
-    return _built(entries, SweepSpec, dict(
-        base=base, variable=variable, values=values, metric=metric,
-        fraction=Fraction(fraction.numerator, fraction.denominator),
-    ))
+    variable = entries["sweep"].get("variable", ("",))[0].lower()
+    read = {"sites": int, "center": lambda v: resolve_center(v, base.sites, base.convention)}
+    values = ("values", _list(read.get(variable, float)))
+    return _built(entries, SweepSpec, {**_KEYS, ("sweep", "values"): values}, base=base)
 
 
 def _write_csv(path: Path, header: str, row_format: str, rows: int, values) -> Path:
@@ -564,14 +568,6 @@ class SweepResult:
     rows: tuple[tuple[float, float], ...]
     non_decreasing: bool
     path: Path | None = None
-
-
-def _swept(spec: SweepSpec, value: float) -> Scenario:
-    if spec.variable == "half_width":
-        return replace(spec.base, half_width=value, alpha=None)
-    if spec.variable == "sites":
-        return replace(spec.base, sites=value)
-    return replace(spec.base, center_exprs=(repr(value),))
 
 
 def _sweep_chain(spec: SweepSpec, scenarios: list[Scenario]) -> np.ndarray:

@@ -132,8 +132,10 @@ def build_gwp(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
     """Normalised Gaussian packet in position space."""
     _warn_if_not_contained(chain, spec)
     j = np.arange(1, chain.n_sites + 1, dtype=float)
-    # numpy's power overflows to inf where a Python float's would raise
-    amps = np.exp(-np.float64(spec.alpha) ** 2 * (j - spec.center) ** 2 / 2.0).astype(complex)
+    # numpy's power overflows to inf where a Python float's would raise; an
+    # exponent that overflows (or is inf * 0) gives no finite weight, which _unit refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.exp(-np.float64(spec.alpha) ** 2 * (j - spec.center) ** 2 / 2.0).astype(complex)
     return _unit(amps, f"packet at {spec.center} with alpha {spec.alpha:.3g} "
                        "has no finite weight on the chain")
 

@@ -46,6 +46,8 @@ def test_resolve_center_expressions():
         resolve_center("banana", 500)
     with pytest.raises(ValueError, match="not finite"):
         resolve_center("inf", 500)
+    with pytest.raises(ValueError, match="not finite"):  # a N / m past the float range
+        resolve_center("1" + "0" * 400 + "N/3", 500)
 
 
 @pytest.mark.parametrize(
@@ -106,14 +108,40 @@ _DIRECT = dict(sites=500, center_exprs=("50",), half_width=24.0)
                      "denominator 0 is not a positive integer", id="zero-denominator"),
         pytest.param(dict(time_start=0.0, time_stop=1.0, time_denominator=-3),
                      "denominator -3 is not a positive integer", id="negative-denominator"),
+        # each value on its own, refused by name at construction
+        pytest.param(dict(sites=0), "sites 0 is not an integer >= 2", id="zero-sites"),
+        pytest.param(dict(half_width=-1.0), r"half_width -1\.0 is not positive",
+                     id="negative-half-width"),
+        pytest.param(dict(half_width=1e-320), "half_width must be .* give a finite alpha",
+                     id="half-width-without-finite-alpha"),
+        pytest.param(dict(hopping=0.0), r"hopping 0\.0 is not positive", id="zero-hopping"),
+        pytest.param(dict(hopping=float("nan")), "hopping nan is not finite", id="nan-hopping"),
+        pytest.param(dict(half_width=None, alpha=0.0), r"alpha 0\.0 is not positive",
+                     id="zero-alpha"),
+        pytest.param(dict(convention="bogus"), "convention 'bogus' is not one of plus-one, literal",
+                     id="bogus-convention"),
+        pytest.param(dict(center_exprs=("N/0",)), "center 'N/0' divides by zero",
+                     id="center-divides-by-zero"),
+        pytest.param(dict(fraction_cap=0), "fraction_cap 0 is not a positive integer",
+                     id="zero-fraction-cap"),
+        pytest.param(dict(profiles_at=(0.25, float("inf"))), "profiles_at inf is not finite",
+                     id="infinite-profile"),
+        pytest.param(dict(kind="superposition", center_exprs=("10", "20"),
+                          weights=(1.0, float("nan"))), "weights nan is not finite",
+                     id="nan-weight"),
+        pytest.param(dict(time_start=-float("inf"), time_stop=1.0, time_points=3),
+                     "start -inf is not finite", id="infinite-start"),
+        pytest.param(dict(time_start=0.0, time_stop=float("inf"), time_points=3),
+                     "stop inf is not finite", id="infinite-stop"),
     ],
 )
 def test_direct_scenario_keeps_the_field_rules(fields, fragment):
     with pytest.raises(ValueError, match=fragment) as err:
         Scenario(**{**_DIRECT, **fields})
     assert not isinstance(err.value, ConfigError)  # no config is involved
-    with pytest.raises(ValueError, match=fragment):  # replace() builds anew
+    with pytest.raises(ValueError, match=fragment) as err:  # replace() builds anew
         replace(Scenario(**_DIRECT), **fields)
+    assert not isinstance(err.value, ConfigError)
 
 
 def test_gaussian_spec_of_a_superposition_is_a_plain_value_error():
@@ -368,18 +396,28 @@ def test_fuzzed_config_fails_only_cleanly(text):
 
 
 # The differential test draws Scenario and SweepSpec fields that a config can
-# give, each valid on its own key, and writes them as a config: only the rules
-# that tie fields together can refuse them, and parsing must refuse exactly
-# what building them directly refuses.
+# give and writes them as a config.  Most keep every rule; some break a rule
+# of their own key (a bad value) and some one that ties fields together.  All
+# of them are text that converts, so parsing must refuse exactly what building
+# them directly refuses, with the same message.
 _KEYS = {  # field: (section, config key); center_exprs's key depends on kind
-    "sites": ("chain", "sites"), "kind": ("initial", "kind"), "weights": ("initial", "weights"),
-    "half_width": ("initial", "half_width"), "alpha": ("initial", "alpha"),
+    "sites": ("chain", "sites"), "hopping": ("chain", "hopping"), "kind": ("initial", "kind"),
+    "weights": ("initial", "weights"), "half_width": ("initial", "half_width"),
+    "alpha": ("initial", "alpha"), "convention": ("initial", "convention"),
     "time_start": ("time", "start"), "time_stop": ("time", "stop"),
     "time_points": ("time", "points"), "time_denominator": ("time", "denominator"),
+    "fraction_cap": ("metrics", "fraction_cap"), "profiles_at": ("metrics", "profiles_at"),
     "variable": ("sweep", "variable"), "values": ("sweep", "values"),
     "metric": ("sweep", "metric"), "fraction": ("sweep", "fraction"),
 }
 _FAR_END = st.sampled_from([1e300, -1e307, 2.0**53, 1e16])
+_NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_NOT_POSITIVE = st.sampled_from([0.0, -1.0, -float("inf")])
+
+
+def _or_bad(good, *bad):
+    """``good`` values, and now and then (about one in 16) one that its own key refuses."""
+    return st.integers(0, 15).flatmap(lambda i: st.one_of(*bad) if i == 15 else good)
 
 
 @st.composite
@@ -387,21 +425,32 @@ def field_sets(draw):
     # mostly fields that keep the rules, so that parses are compared too
     kind = draw(st.sampled_from(["gaussian", "superposition"]))
     n_centers = draw(st.sampled_from([1, 1, 1, 0] if kind == "gaussian" else [1, 2, 2, 3, 0]))
+    center = _or_bad(_GOOD_CENTER, st.sampled_from(["N/0", "banana", "nan", "inf"]))
     fields = {
-        "sites": draw(st.integers(2, 64)), "kind": kind,
-        "center_exprs": tuple(draw(st.lists(_GOOD_CENTER, min_size=n_centers,
-                                            max_size=n_centers))),
+        "sites": draw(_or_bad(st.integers(2, 64), st.sampled_from([0, 1, -3, 2**22 + 1]))),
+        "kind": kind,
+        "center_exprs": tuple(draw(st.lists(center, min_size=n_centers, max_size=n_centers))),
     }
+    optional = {
+        "hopping": _or_bad(st.floats(0.1, 10), _NOT_FINITE, _NOT_POSITIVE, st.just(5e-324)),
+        "convention": _or_bad(st.sampled_from(["plus-one", "literal"]), st.just("bogus")),
+        "fraction_cap": _or_bad(st.integers(1, 2000), st.sampled_from([0, -3])),
+        "profiles_at": st.lists(_or_bad(st.floats(-10, 10), _NOT_FINITE), max_size=2).map(tuple),
+    }
+    for field in draw(st.sets(st.sampled_from(sorted(optional)))):
+        fields[field] = draw(optional[field])
     if draw(st.booleans()):
         count = draw(st.sampled_from([n_centers, n_centers, n_centers + 1, 0]))
-        fields["weights"] = tuple(draw(st.lists(st.floats(-5, 5), min_size=count,
-                                                max_size=count)))
+        fields["weights"] = tuple(draw(st.lists(_or_bad(st.floats(-5, 5), _NOT_FINITE),
+                                                min_size=count, max_size=count)))
     for width in draw(st.sampled_from([["half_width"], ["alpha"], [], ["half_width", "alpha"]])):
-        fields[width] = draw(st.floats(0.5, 100) if width == "half_width" else st.floats(0.01, 5))
-    start = draw(st.one_of(st.floats(-4, 4), _FAR_END))
+        good = st.floats(0.5, 100) if width == "half_width" else st.floats(0.01, 5)
+        fields[width] = draw(_or_bad(good, _NOT_FINITE, _NOT_POSITIVE, st.just(1e-320)))
+    start = draw(_or_bad(st.floats(-4, 4), _FAR_END, _NOT_FINITE))
     time = {
         "time_start": st.just(start),
-        "time_stop": st.floats(1e-3, 4).map(lambda d: start + d) | st.floats(-4, 4) | _FAR_END,
+        "time_stop": (st.floats(1e-3, 4).map(lambda d: start + d) | st.floats(-4, 4) | _FAR_END
+                      | _NOT_FINITE),
         "time_points": st.integers(1, 64) | st.sampled_from([2**20 + 1, 0, -3]),
         "time_denominator": st.integers(1, 64) | st.sampled_from([10**17, 0, -3]),
     }
@@ -414,8 +463,9 @@ def field_sets(draw):
     if not draw(st.booleans()):
         return fields, None
     variable = draw(st.sampled_from(["half_width", "sites", "center"]))
-    value = {"half_width": st.floats(0.5, 100), "sites": st.integers(2, 64),
-             "center": st.floats(-10, 80)}[variable]
+    value = {"half_width": _or_bad(st.floats(0.5, 100), _NOT_POSITIVE, _NOT_FINITE),
+             "sites": _or_bad(st.integers(2, 64), st.sampled_from([0, 1])),
+             "center": _or_bad(st.floats(-10, 80), _NOT_FINITE)}[variable]
     return fields, {
         "variable": variable,
         "values": tuple(draw(st.lists(value, max_size=3))),
@@ -454,8 +504,7 @@ def test_parsing_refuses_exactly_what_direct_construction_refuses(drawn):
         parsed = (parse_config if sweep is None else parse_sweep)(_config_text(fields, sweep))
     except ConfigError as exc:
         assert direct is None
-        # the same message, unless the parser refused the fraction on its own key first
-        assert str(exc).endswith(refusal) or "bad value for 'fraction'" in str(exc)
+        assert str(exc).endswith(refusal)
     else:
         assert parsed == direct
 
@@ -562,11 +611,25 @@ SUPERPOSITION_BASE = Scenario(sites=200, kind="superposition", center_exprs=("N/
                      id="superposition-fractional"),
         pytest.param(dict(base=SUPERPOSITION_BASE, metric="mirror_fidelity"),
                      "mirror_fidelity needs a single-packet", id="superposition-mirror"),
+        # each value as its variable's own key reads it
+        pytest.param(dict(values=(8.0, -1.0)), r"half_width -1\.0 is not positive",
+                     id="negative-half-width"),
+        pytest.param(dict(variable="sites", values=(1,)), "sites 1 is not an integer >= 2",
+                     id="one-site"),
+        pytest.param(dict(variable="sites", values=(20.5,)), r"sites 20\.5 is not an integer >= 2",
+                     id="fractional-sites"),
+        pytest.param(dict(variable="center", values=(30.0, float("nan"))),
+                     "center 'nan' is not finite", id="nan-center"),
+        pytest.param(dict(variable="bogus"), "variable 'bogus' is not one of", id="bogus-variable"),
     ],
 )
 def test_direct_sweep_keeps_the_field_rules(fields, fragment):
+    good = dict(base=SWEEP_BASE, variable="half_width", values=(8.0,))
     with pytest.raises(ValueError, match=fragment) as err:
-        SweepSpec(**{"base": SWEEP_BASE, "variable": "half_width", "values": (8.0,), **fields})
+        SweepSpec(**{**good, **fields})
+    assert not isinstance(err.value, ConfigError)  # no config is involved
+    with pytest.raises(ValueError, match=fragment) as err:  # replace() builds anew
+        replace(SweepSpec(**good), **fields)
     assert not isinstance(err.value, ConfigError)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,18 @@ NAN = float("nan")
 def test_builders_refuse_a_state_without_finite_weight(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build(ChainSpec(n_sites=40))
+
+
+@pytest.mark.filterwarnings("ignore:packet at")
+@pytest.mark.parametrize("spec", [
+    pytest.param(GaussianSpec(center=1e308, alpha=0.1), id="far-center"),  # (j - center)^2 overflows
+    pytest.param(GaussianSpec(center=20.0, alpha=1e200), id="huge-alpha"),  # alpha^2 = inf, inf * 0
+])
+def test_build_gwp_refuses_an_overflowing_exponent_without_a_runtime_warning(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="no finite weight on the chain"):
+            build_gwp(ChainSpec(n_sites=120), spec)
 
 
 def test_packet_overlap_basics(chain500):
