@@ -20,18 +20,18 @@ extension (Makhoul, IEEE TASSP 28, 27 (1980); Numerical Recipes, section
 ``reflect`` also take an (M, N) stack of states, one per row.
 
 The public functions return fresh, writable arrays on every call.  Three
-private memos keep one entry each, read-only, until another key replaces
-it: ``_sines`` the sine row of every transform of one length (4 B per
-site), ``_energies`` the mode energies of one ``ChainSpec``, hopping
-included (8 B per site), and ``_spectral`` one forward transform, which
-the evolution and the overlap kernel take, as a copy of its input and its
-output (32 B per site): a caller that evolves one state to several
-instants, or evolves it and then traces it, transforms it once.
+private ``lru_cache``s keep one read-only entry each: ``_sines`` the sine
+row of every transform of one length (4 B per site), ``_energies`` the mode
+energies of one ``ChainSpec`` (8 B per site), and ``_transform`` one forward
+transform (32 B per site), keyed by a copy of the input's bytes, as an
+array is neither hashable nor immutable: a caller that evolves one state to
+several instants, or evolves it and then traces it, transforms it once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +67,9 @@ class ChainSpec:
             raise ValueError(f"n_sites is too large: the limit is {_MAX_SITES} sites")
         if not n >= 2 or int(n) != n:
             raise ValueError(f"n_sites {n!r} is not an integer >= 2")
-        # the band edge 2J and the revival time (N+1)^2/(pi J) must be finite floats
-        revival = (n + 1) ** 2 / (np.pi * j) if j > 0 else np.nan
-        if not np.isfinite([2.0 * j, revival]).all():
+        # the band edge 2J and the revival time (N+1)^2/(pi J) must be finite floats:
+        # 2J is below 2**1024 just when J is below 2**1023, an int J too
+        if not (0 < j < 2.0**1023 and (n + 1) ** 2 / (math.pi * j) < math.inf):
             raise ValueError(f"hopping {j!r} is not positive with a finite band and revival time")
         object.__setattr__(self, "n_sites", int(n))
         object.__setattr__(self, "hopping", float(j))
@@ -186,27 +186,20 @@ def to_spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
 
 to_position = to_spectral
 
-# The last input _spectral transformed, as (shape, bytes), and its read-only output.
-_last_spectral: tuple = (None, None)
-
-
 def _spectral(chain: ChainSpec, state: np.ndarray) -> np.ndarray:
-    """:func:`to_spectral` of ``state``, read-only, reusing the last one that was asked for.
+    """:func:`to_spectral` of ``state``, read-only, reused while the same input is asked for.
 
-    The input is remembered as a copy of its bytes, so the output is reused
-    only for an input of the same shape whose bytes are all equal (-0.0 is
-    not 0.0), however it was mutated or rebuilt in between.  One pair is
-    kept; any other input replaces it.
+    The output is reused only for an input of the same shape whose bytes are
+    all equal (-0.0 is not 0.0), however it was mutated or rebuilt in between.
     """
-    global _last_spectral
     x = _as_state(chain, state)
-    key = (x.shape, x.tobytes())
-    remembered, out = _last_spectral  # one read: another thread may replace the pair
-    if remembered == key:
-        return out
-    out = to_spectral(chain, x)
+    return _transform(chain, x.shape, x.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _transform(chain: ChainSpec, shape: tuple, data: bytes) -> np.ndarray:
+    out = to_spectral(chain, np.frombuffer(data, dtype=complex).reshape(shape))
     out.flags.writeable = False
-    _last_spectral = (key, out)
     return out
 
 

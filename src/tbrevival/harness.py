@@ -67,6 +67,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -240,7 +241,8 @@ def _check(rules, obj) -> None:
 
 # What a value must be: a test of the value and of the object that holds it,
 # and the words that end "<key> <value> is not ...", formatted with the object.
-_FINITE = (lambda v, _: abs(v) < math.inf, "finite")
+_FINITE = (lambda v, _: abs(v) <= sys.float_info.max, "finite")  # also for an int or complex
+_RATIONAL = (lambda v, _: isinstance(v, (int, Fraction)), "a fraction p/q")
 _POSITIVE = (lambda v, _: v > 0, "positive")
 _COUNT = (lambda v, _: v >= 1, "a positive integer")
 _AFTER_START = (lambda v, s: s.time_start is None or s.time_start < v,
@@ -379,6 +381,16 @@ def _list(convert):
 
 
 def _fraction(text: str) -> Fraction:
+    """Read ``p/q`` or a decimal; a decimal's exponent is bounded before Fraction builds 10**|e|."""
+    # past |e| = len(text) + 16, which any 19-digit e is, a nonzero decimal is below 10**-6 or
+    # at least 10**16, so its q is past the Gauss table's bound or its p/q past 2**53
+    m = re.fullmatch(r"\s*[-+]?([\d_]*(?:\.[\d_]*)?)[eE]([-+]?)([\d_]+)\s*", text, re.ASCII)
+    if m and int(m[3].replace("_", "").lstrip("0")[:19] or 0) > len(text) + 16:
+        if set(m[1]) & set("123456789"):
+            raise ValueError(f"{text!r} is below 10**-6: its Gauss table would exceed 2**18 entries"
+                             if m[2] == "-" else f"{text!r} is not below 2**53 t_rev")
+        if "0" in m[1]:  # a zero, whatever its exponent; with no digit, Fraction refuses it
+            text = text[:m.start(3)] + "0"
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -387,9 +399,12 @@ def _fraction(text: str) -> Fraction:
 
 def revival_fraction(text: str) -> RevivalFraction:
     """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
-    value = _fraction(text)  # RevivalFraction applies the instant rule, in integers
+    return _revival_fraction(_fraction(text))
+
+
+def _revival_fraction(value: Fraction) -> RevivalFraction:
     fourier_period(value.denominator)  # refuses a q whose Gauss table would be too large
-    return RevivalFraction(value.numerator, value.denominator)
+    return RevivalFraction(value.numerator, value.denominator)  # the instant rule, in integers
 
 
 # The field each config key gives, and how its text converts: to a type and
@@ -472,7 +487,7 @@ class SweepSpec:
     Built directly, by ``replace()`` or parsed, it keeps every value rule (``_SWEEP_RULES``)
     or is a ``ValueError`` at once: a known variable and metric, each value as its
     variable's own key reads it (its swept scenario must build), a fidelity metric only on
-    a gaussian base, and a ``fraction`` that :func:`revival_fraction` accepts.
+    a gaussian base, and a ``fraction``, a ``Fraction``, that :func:`revival_fraction` accepts.
     """
 
     base: Scenario
@@ -498,7 +513,7 @@ _SWEEP_RULES = (
     _each("variable", _one_of(_SWEEP_VARIABLES)),
     _each("metric", _one_of(_SWEEP_METRICS)),
     _each("values", build=lambda v, w: _swept(w, v)),
-    _each("fraction", build=lambda f, _: revival_fraction(str(f))),
+    _each("fraction", _RATIONAL, build=lambda f, _: _revival_fraction(f)),
     ("values", lambda w: not w.values and "sweep needs at least one value"),
     ("metric", lambda w: w.metric != "autocorrelation" and w.base.kind != "gaussian"
      and f"metric {w.metric} needs a single-packet (gaussian) initial, not a {w.base.kind}"),
@@ -573,7 +588,7 @@ class SweepResult:
 def _sweep_chain(spec: SweepSpec, scenarios: list[Scenario]) -> np.ndarray:
     """The metric of scenarios that share one chain, from one stacked kernel call."""
     chain = scenarios[0].chain()
-    fraction = RevivalFraction(spec.fraction.numerator, spec.fraction.denominator)
+    fraction = _revival_fraction(spec.fraction)
     states = np.array([scenario.initial_state() for scenario in scenarios])
     a_vals, f_vals = _overlaps(chain, states, np.array([fraction.time(chain)]))[..., 0]
     if spec.metric == "autocorrelation":

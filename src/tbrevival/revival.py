@@ -52,8 +52,8 @@ import numpy as np
 from .chain import ChainSpec, mode_energies, mode_parities, reflect, to_position, to_spectral
 from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
-    GaussianSpec, _unit_coefficients, _warn_if_not_contained, build_gwp_spectral,
-    high_mode_weight, surviving_modes,
+    GaussianSpec, _gwp_spectral, _unit_coefficients, _warn_if_not_contained,
+    build_gwp_spectral, high_mode_weight, surviving_modes,
 )
 
 __all__ = [
@@ -216,26 +216,12 @@ class SubPacketPrediction:
         return [(c, w) for c, w in groups if abs(w) > 1e-9]
 
 
-# The last (chain, spec) predict_state was given, and its read-only packet and high-mode weight.
-_last_packet: tuple = (None, None)
-
-
-def _recall(chain: ChainSpec, spec: GaussianSpec) -> tuple[np.ndarray, float] | None:
-    """The kept (packet, high-mode weight) of (chain, spec), warning as building warns; or None."""
-    key, kept = _last_packet  # one read: another thread may replace the pair
-    if key != (chain, spec):
-        return None
-    _warn_if_not_contained(chain, spec)
-    return kept
-
-
-def _remember(chain: ChainSpec, spec: GaussianSpec, packet: np.ndarray) -> tuple:
-    """Keep ``packet``, read-only, with its high-mode weight, in place of the last one kept."""
-    global _last_packet
+@functools.lru_cache(maxsize=1)
+def _packet(chain: ChainSpec, spec: GaussianSpec) -> tuple[np.ndarray, float]:
+    """The packet's mode coefficients, read-only, and their high-mode weight."""
+    packet = _gwp_spectral(chain, spec)
     packet.flags.writeable = False
-    kept = packet, high_mode_weight(chain, packet)
-    _last_packet = ((chain, spec), kept)
-    return kept
+    return packet, high_mode_weight(chain, packet)
 
 
 def predict_state(
@@ -252,16 +238,16 @@ def predict_state(
     the exact propagator measures only the quartic dispersion error.
 
     The Gauss table (see :func:`gauss_coefficients`) and the packet's mode
-    coefficients with their high-mode weight, kept for the last (chain,
-    spec), are shared and read-only; the containment and high-mode warnings
-    are given on every call.
+    coefficients with their high-mode weight are shared and read-only, each
+    from an ``lru_cache``: the packet's keeps the last (chain, spec).  The
+    containment and high-mode warnings are given on every call, outside it.
     """
     coeffs = gauss_coefficients(fraction)
     l, b = coeffs.period, coeffs.values
     L = chain.n_sites + 1
 
-    # one line, so that a remembered packet repeats build_gwp_spectral's warning from here
-    packet, tail = _recall(chain, spec) or _remember(chain, spec, build_gwp_spectral(chain, spec))
+    _warn_if_not_contained(chain, spec, stacklevel=2)  # from here, as build_gwp_spectral would
+    packet, tail = _packet(chain, spec)
     if tail > 1e-6:
         warnings.warn(
             f"packet has {tail:.2e} of its weight outside the low-energy "

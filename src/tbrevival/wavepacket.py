@@ -95,12 +95,12 @@ class SuperpositionSpec:
         return cls(centers=cs, weights=(1.0 + 0.0j,) * len(cs), alpha=float(alpha))
 
 
-def _warn_if_not_contained(chain: ChainSpec, spec: GaussianSpec) -> None:
+def _warn_if_not_contained(chain: ChainSpec, spec: GaussianSpec, stacklevel: int = 3) -> None:
     if not spec.is_contained(chain):
         warnings.warn(
             f"packet at {spec.center} with half width {spec.half_width:.3g} "
             f"is not fully contained in a chain of {chain.n_sites} sites",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -148,6 +148,11 @@ def build_gwp_spectral(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
     third mode for center (N+1)/3), which is what shortens revival periods.
     """
     _warn_if_not_contained(chain, spec)
+    return _gwp_spectral(chain, spec)
+
+
+def _gwp_spectral(chain: ChainSpec, spec: GaussianSpec) -> np.ndarray:
+    """:func:`build_gwp_spectral` without its containment warning."""
     k = mode_wavenumbers(chain)
     coeff = (np.sin(k * spec.center) * np.exp(-(k**2) / (2.0 * spec.alpha**2))).astype(complex)
     return _unit(coeff, f"packet at center {spec.center} has no finite spectral weight")

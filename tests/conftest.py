@@ -30,13 +30,11 @@ def random_state(rng, n):
 
 
 def _clear_memos():
-    from tbrevival import chain, propagator, revival
+    from tbrevival import chain, fidelity, propagator, revival
 
-    for memo in (chain._sines, chain._energies, propagator.revival_clock,
-                 revival.gauss_coefficients):
+    for memo in (chain._sines, chain._energies, chain._transform, fidelity._farey,
+                 propagator.revival_clock, revival.gauss_coefficients, revival._packet):
         memo.cache_clear()
-    chain._last_spectral = (None, None)
-    revival._last_packet = (None, None)
 
 
 @pytest.fixture

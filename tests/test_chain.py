@@ -41,6 +41,15 @@ def test_chain_spec_validation():
         ChainSpec(n_sites=10**400)
 
 
+@pytest.mark.parametrize("hopping", [10**400, float("inf"), float("nan"), 1e308, 1e-320, 0],
+                         ids=["int-past-floats", "inf", "nan", "band-overflows",
+                              "revival-time-overflows", "zero"])
+def test_a_hopping_without_a_finite_band_and_revival_time_is_a_value_error(hopping):
+    # 10**400 is an int past the float range: its product with pi overflows
+    with pytest.raises(ValueError, match="finite band and revival time"):
+        ChainSpec(n_sites=4000, hopping=hopping)
+
+
 def test_eigen_modes_small_chain():
     modes = eigen_modes(ChainSpec(n_sites=3))
     assert [m.index for m in modes] == [1, 2, 3]
@@ -238,7 +247,7 @@ def forward_calls(monkeypatch):
         calls.append(np.array(state))
         return original(chain, state)
 
-    monkeypatch.setattr(chain_module, "_last_spectral", (None, None))
+    chain_module._transform.cache_clear()
     monkeypatch.setattr(chain_module, "to_spectral", counted)
     return calls
 

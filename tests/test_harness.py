@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +16,9 @@ from tbrevival import (
     reproduce, resolve_center, revival_clock, run_scenario, run_sweep, trace,
 )
 from tbrevival.cli import build_parser, main as cli_main
-from tbrevival.harness import DenominatorGrid, PRESET_FIGURES, Scenario, SweepSpec, parse_sweep
+from tbrevival.harness import (
+    DenominatorGrid, PRESET_FIGURES, Scenario, SweepSpec, parse_sweep, revival_fraction,
+)
 
 GOOD_CONFIG = """\
 [chain]
@@ -126,6 +129,12 @@ _DIRECT = dict(sites=500, center_exprs=("50",), half_width=24.0)
                      id="zero-fraction-cap"),
         pytest.param(dict(profiles_at=(0.25, float("inf"))), "profiles_at inf is not finite",
                      id="infinite-profile"),
+        # Python ints past the float range
+        pytest.param(dict(hopping=10**400), "hopping 10{400} is not finite", id="int-hopping"),
+        pytest.param(dict(half_width=10**400), "half_width 10{400} is not finite",
+                     id="int-half-width"),
+        pytest.param(dict(profiles_at=(0.5, 10**400)), "profiles_at 10{400} is not finite",
+                     id="int-profile"),
         pytest.param(dict(kind="superposition", center_exprs=("10", "20"),
                           weights=(1.0, float("nan"))), "weights nan is not finite",
                      id="nan-weight"),
@@ -283,6 +292,7 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "fraction = 1/0", 19, "not a fraction"),
         ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
         ("fraction = 1/2", "fraction = 1e300", 19, r"2\*\*53 t_rev"),
+        ("fraction = 1/2", "fraction = 1e-1000000", 19, "Gauss table"),
         ("[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n", "", 0,
          r"missing \[sweep\]"),
     ],
@@ -966,7 +976,7 @@ def test_cli_trace_over_the_work_bound_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001", "1e300"])
+@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001", "1e300", "1e1000000"])
 def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(GOOD_CONFIG)
@@ -976,6 +986,34 @@ def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction):
     # refused before anything is predicted, printed or written
     assert capsys.readouterr().out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["ok.cfg"]
+
+
+@pytest.mark.parametrize("text, fragment", [("1e-1000000", "Gauss table"),
+                                            ("1e1000000", r"2\*\*53 t_rev"),
+                                            ("-1e1000000", r"2\*\*53 t_rev")])
+def test_a_far_decimal_exponent_is_refused_before_its_power_is_built(text, fragment):
+    # Fraction(text) would build 10**1000000 first, which takes tenths of a second
+    for read in (revival_fraction, lambda t: parse_sweep(SWEEP_CONFIG.replace("1/2", t))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=fragment):
+            read(text)
+        assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("text", ["0e-1000000", "-0.0e+1000000"])
+def test_a_zero_decimal_is_zero_whatever_its_exponent(text):
+    start = time.perf_counter()
+    assert revival_fraction(text) == RevivalFraction(0, 1)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_a_long_number_without_an_exponent_is_read_in_linear_time():
+    # a pattern that backtracks over both halves of the digits takes minutes here
+    start = time.perf_counter()
+    for text in ("1" * 100_000, "." + "1" * 100_000 + "x"):
+        with pytest.raises(ValueError):
+            revival_fraction(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_cli_parses_each_call_on_its_own(tmp_path, capsys):
