@@ -54,6 +54,14 @@ __all__ = [
 _MAX_SITES = 2**22
 
 
+def _shown(value) -> str:
+    """``repr(value)``; an int past Python's int-to-string limit (4300 digits) shows its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Open chain with ``n_sites`` sites and hopping integral ``hopping``."""
@@ -66,11 +74,12 @@ class ChainSpec:
         if n > _MAX_SITES:
             raise ValueError(f"n_sites is too large: the limit is {_MAX_SITES} sites")
         if not n >= 2 or int(n) != n:
-            raise ValueError(f"n_sites {n!r} is not an integer >= 2")
+            raise ValueError(f"n_sites {_shown(n)} is not an integer >= 2")
         # the band edge 2J and the revival time (N+1)^2/(pi J) must be finite floats:
         # 2J is below 2**1024 just when J is below 2**1023, an int J too
         if not (0 < j < 2.0**1023 and (n + 1) ** 2 / (math.pi * j) < math.inf):
-            raise ValueError(f"hopping {j!r} is not positive with a finite band and revival time")
+            raise ValueError(f"hopping {_shown(j)} is not positive with a finite band and "
+                             "revival time")
         object.__setattr__(self, "n_sites", int(n))
         object.__setattr__(self, "hopping", float(j))
 

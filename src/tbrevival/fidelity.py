@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainSpec, _energies, _spectral, mode_parities
-from .propagator import _check_instants, _instant_times
+from .propagator import _check_instants, _floats, _instant_times
 from .revival import RevivalFraction
 from .wavepacket import GaussianSpec, build_gwp
 
@@ -83,7 +83,7 @@ def _overlaps(chain: ChainSpec, initial: np.ndarray, times: np.ndarray) -> np.nd
     table is built.  No matrix product (gemm) is used: at these sizes it
     wakes BLAS threads that cost more CPU time than they save wall time.
     """
-    _check_instants(chain, times)
+    times = _check_instants(chain, times)
     spectral = _spectral(chain, initial)
     w = np.abs(spectral.reshape(-1, chain.n_sites)) ** 2
     kept = np.any(w > _CUT * w.sum(axis=1, keepdims=True) / chain.n_sites, axis=0)
@@ -255,7 +255,7 @@ def trace(
         raise ValueError("time grid is empty")
     if options.max_denominator < 1:
         raise ValueError(f"max_denominator must be at least 1, got {options.max_denominator!r}")
-    times = np.array(grid, dtype=float)
+    times = _floats(grid)
     if times.ndim != 1:
         raise ValueError(f"time grid has shape {times.shape}, expected a sequence of times")
     if not np.all(np.isfinite(times)):

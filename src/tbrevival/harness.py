@@ -74,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _shown
 from .fidelity import FidelityTrace, TraceOptions, _fractional, _overlaps, trace
 from .propagator import _instant_times, evolve_exact
 from .revival import RevivalFraction, fourier_period
@@ -267,7 +267,7 @@ def _each(field: str, *musts, build=lambda v, obj: None):
         for v in value if isinstance(value, (tuple, list)) else () if value is None else (value,):
             missed = [what.format(obj) for test, what in musts if not test(v, obj)]
             if missed:
-                return f"{name} {v!r} is not {' and not '.join(missed)}"
+                return f"{name} {_shown(v)} is not {' and not '.join(missed)}"
             try:
                 build(v, obj)
             except ValueError as exc:
@@ -380,25 +380,56 @@ def _list(convert):
     return lambda value: tuple(convert(v.strip()) for v in value.split(",") if v.strip())
 
 
+_DIGITS = r"\d+(?:_\d+)*"
+# Fraction's grammar in ASCII digits: [sign] p/q, or [sign] a decimal with an optional exponent
+_FRACTION_RE = re.compile(
+    rf"\s*([-+]?)(?=\.?\d)({_DIGITS})?(?:\s*/\s*({_DIGITS})|(?:\.({_DIGITS})?)?"
+    rf"(?:[eE]([-+]?)({_DIGITS}))?)\s*", re.ASCII)
+
+
+def _int(digits: str) -> int:
+    """The int a digit string names, at any length: ``int`` alone stops at 4300 digits."""
+    digits, value = digits.replace("_", ""), 0
+    for start in range(0, len(digits), 4000):
+        chunk = digits[start:start + 4000]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
 def _fraction(text: str) -> Fraction:
-    """Read ``p/q`` or a decimal; a decimal's exponent is bounded before Fraction builds 10**|e|."""
-    # past |e| = len(text) + 16, which any 19-digit e is, a nonzero decimal is below 10**-6 or
-    # at least 10**16, so its q is past the Gauss table's bound or its p/q past 2**53
-    m = re.fullmatch(r"\s*[-+]?([\d_]*(?:\.[\d_]*)?)[eE]([-+]?)([\d_]+)\s*", text, re.ASCII)
-    if m and int(m[3].replace("_", "").lstrip("0")[:19] or 0) > len(text) + 16:
-        if set(m[1]) & set("123456789"):
+    """Read ``p/q`` or a decimal as ``Fraction`` reads it, in ASCII digits, at any length.
+
+    A decimal's exponent is bounded before 10**|e| is built: past |e| = len(text) + 16,
+    which any 19-digit e is, a nonzero decimal is below 10**-6 or at least 10**16, so
+    its q is past the Gauss table's bound or its p/q past 2**53; a zero is 0.
+    """
+    m = _FRACTION_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"{text!r} is not a fraction p/q or a decimal")
+    sign, whole, denominator, decimals, e_sign, e_digits = m.groups()
+    decimals = (decimals or "").replace("_", "")
+    p, q = _int((whole or "") + decimals), 1
+    if denominator is not None:
+        q = _int(denominator)
+        if not q:
+            raise ValueError(f"{text!r} is not a fraction p/q with q > 0")
+    elif p:
+        e = int((e_digits or "").replace("_", "").lstrip("0")[:19] or 0)
+        if e > len(text) + 16:
             raise ValueError(f"{text!r} is below 10**-6: its Gauss table would exceed 2**18 entries"
-                             if m[2] == "-" else f"{text!r} is not below 2**53 t_rev")
-        if "0" in m[1]:  # a zero, whatever its exponent; with no digit, Fraction refuses it
-            text = text[:m.start(3)] + "0"
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r} is not a fraction p/q with q > 0") from None
+                             if e_sign == "-" else f"{text!r} is not below 2**53 t_rev")
+        shift = (-e if e_sign == "-" else e) - len(decimals)
+        p, q = p * 10**max(shift, 0), 10**max(-shift, 0)
+    return Fraction(-p if sign == "-" else p, q)
 
 
 def revival_fraction(text: str) -> RevivalFraction:
-    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``."""
+    """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``.
+
+    A text past Python's 4300-digit int-to-string limit is read in full (in time quadratic
+    in its length: ~0.05 s at 10**5 digits) and refused, as any text is, by the first rule
+    its value breaks: the Gauss table's bound on q, then p >= 0 and p/q below 2**53 t_rev.
+    """
     return _revival_fraction(_fraction(text))
 
 
@@ -661,11 +692,11 @@ def estimate_budget(n_sites: int, hopping_mev: float, decoherence_ms: float | No
     2.5e5/sqrt(n) exactly.
     """
     if not 2 <= n_sites < math.inf or int(n_sites) != n_sites:
-        raise ValueError(f"sites {n_sites!r} is not an integer >= 2")
+        raise ValueError(f"sites {_shown(n_sites)} is not an integer >= 2")
     for name, value in (("hopping", hopping_mev), ("decoherence", decoherence_ms),
                         ("revivals", n_revivals)):
         if value is not None and not 0 < value < math.inf:
-            raise ValueError(f"{name} {value!r} is not finite and positive")
+            raise ValueError(f"{name} {_shown(value)} is not finite and positive")
     scale = QUOTED_REVIVAL_HOPPING_MEV / hopping_mev
     try:
         quoted = QUOTED_REVIVAL_MS_PER_SITE_SQ * n_sites**2 * scale

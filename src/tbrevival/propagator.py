@@ -80,13 +80,23 @@ def _instant_times(g, chain: ChainSpec | None = None):
     return g * t_rev
 
 
-def _check_instants(chain: ChainSpec, times) -> None:
-    """The instant rule on times t, applied to |t| / t_rev."""
+def _floats(values) -> np.ndarray:
+    """``values`` as a new float array, with inf for an int past the float range (never a time)."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.full(np.shape(values), np.inf)
+
+
+def _check_instants(chain: ChainSpec, times) -> np.ndarray:
+    """The instant rule on times t, applied to |t| / t_rev; the times as a float array."""
+    times = _floats(times)
     _instant_times(np.abs(times).max(initial=0.0) / revival_clock(chain).revival_time)
+    return times
 
 
 def _evolve(chain: ChainSpec, state: np.ndarray, t, energies) -> np.ndarray:
-    _check_instants(chain, t)
+    t = _check_instants(chain, t)
     if np.size(t) * chain.n_sites > _MAX_SITE_PROFILES:
         raise ValueError(f"{np.size(t)} instants x {chain.n_sites} sites exceed the bound of "
                          f"{_MAX_SITE_PROFILES} site-profiles")

@@ -49,7 +49,9 @@ import warnings
 
 import numpy as np
 
-from .chain import ChainSpec, mode_energies, mode_parities, reflect, to_position, to_spectral
+from .chain import (
+    ChainSpec, _shown, mode_energies, mode_parities, reflect, to_position, to_spectral,
+)
 from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
     GaussianSpec, _gwp_spectral, _unit_coefficients, _warn_if_not_contained,
@@ -90,13 +92,14 @@ class RevivalFraction:
             whole = False
         if not whole:
             raise ValueError(f"fraction parts must be integers, got {p!r}/{q!r}")
-        if q < 1 or p < 0:
-            raise ValueError(f"need numerator >= 0 and denominator >= 1, got {p}/{q}")
         p, q = int(p), int(q)
+        if q < 1 or p < 0:
+            raise ValueError("need numerator >= 0 and denominator >= 1, "
+                             f"got {_shown(p)}/{_shown(q)}")
         if p >= 2**53 * q:  # in integers: p/q itself may be past the float range
             raise ValueError("fraction p/q is not below 2**53 t_rev")
         if gcd(p, q) != 1:
-            raise ValueError(f"{p}/{q} is not reduced")
+            raise ValueError(f"{_shown(p)}/{_shown(q)} is not reduced")
         object.__setattr__(self, "numerator", p)
         object.__setattr__(self, "denominator", q)
 

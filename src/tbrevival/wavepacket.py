@@ -13,12 +13,13 @@ Non-integer centers are allowed and evaluated directly.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _as_state, mode_wavenumbers
+from .chain import ChainSpec, _as_state, _shown, mode_wavenumbers
 
 __all__ = [
     "GaussianSpec",
@@ -40,8 +41,13 @@ _WIDTH_FACTOR = 2.0 * np.sqrt(np.log(2.0))
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not 0 < alpha <= sys.float_info.max:  # an int past the float range too
+        raise ValueError(f"alpha must be positive and finite, got {_shown(alpha)}")
+
+
+def _or_inf(value):
+    """``value``, or inf for an int past the float range, which a packet refuses as it does inf."""
+    return np.inf if isinstance(value, int) and abs(value) > sys.float_info.max else value
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,15 @@ class GaussianSpec:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        object.__setattr__(self, "center", _or_inf(self.center))
 
     @classmethod
     def from_half_width(cls, center: float, half_width: float) -> "GaussianSpec":
-        if not 0 < half_width < np.inf or float(_WIDTH_FACTOR) / float(half_width) == np.inf:
+        if (not 0 < half_width <= sys.float_info.max
+                or float(_WIDTH_FACTOR) / float(half_width) == np.inf):
             raise ValueError(f"half_width must be positive and finite, and give a finite alpha; "
-                             f"got {half_width!r}")
-        return cls(center=float(center), alpha=_WIDTH_FACTOR / half_width)
+                             f"got {_shown(half_width)}")
+        return cls(center=float(_or_inf(center)), alpha=_WIDTH_FACTOR / half_width)
 
     @property
     def half_width(self) -> float:
@@ -88,10 +96,11 @@ class SuperpositionSpec:
         if len(self.weights) != len(self.centers):
             raise ValueError("weights and centers must have the same length")
         _check_alpha(self.alpha)
+        object.__setattr__(self, "weights", tuple(map(_or_inf, self.weights)))
 
     @classmethod
     def equal_weights(cls, centers, alpha: float) -> "SuperpositionSpec":
-        cs = tuple(float(c) for c in centers)
+        cs = tuple(float(_or_inf(c)) for c in centers)
         return cls(centers=cs, weights=(1.0 + 0.0j,) * len(cs), alpha=float(alpha))
 
 

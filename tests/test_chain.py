@@ -41,11 +41,13 @@ def test_chain_spec_validation():
         ChainSpec(n_sites=10**400)
 
 
-@pytest.mark.parametrize("hopping", [10**400, float("inf"), float("nan"), 1e308, 1e-320, 0],
-                         ids=["int-past-floats", "inf", "nan", "band-overflows",
-                              "revival-time-overflows", "zero"])
+@pytest.mark.parametrize("hopping", [10**400, 10**5000, float("inf"), float("nan"), 1e308,
+                                     1e-320, 0],
+                         ids=["int-past-floats", "int-past-the-int-string-limit", "inf", "nan",
+                              "band-overflows", "revival-time-overflows", "zero"])
 def test_a_hopping_without_a_finite_band_and_revival_time_is_a_value_error(hopping):
-    # 10**400 is an int past the float range: its product with pi overflows
+    # 10**400 is an int past the float range: its product with pi overflows; 10**5000 is
+    # also past the 4300 digits an int prints
     with pytest.raises(ValueError, match="finite band and revival time"):
         ChainSpec(n_sites=4000, hopping=hopping)
 

@@ -144,6 +144,8 @@ def test_trace_validates_grid(chain500, packet50):
         trace(chain500, packet50, [0.5, 2.0**53])
     with pytest.raises(ValueError, match=r"2\*\*53"):  # finite, though g * t_rev is not
         trace(chain500, packet50, [1e306])
+    with pytest.raises(ValueError, match="expected a sequence of times"):
+        trace(chain500, packet50, [[0.1, 0.2]])
 
 
 def test_trace_no_mirror_clone_is_nan(chain500, packet50):

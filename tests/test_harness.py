@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tbrevival
 from tbrevival import (
     ConfigError, NoMirrorCloneError, RevivalFraction, autocorrelation, estimate_budget,
     evolve_exact, fractional_fidelity, inner_product, mirror_fidelity, parse_config, reflect,
@@ -37,6 +41,18 @@ profiles_at = 0.25
 [output]
 prefix = demo
 """
+
+
+def _refused(tmp_path, capsys, argv, text, code) -> str:
+    """Run the CLI on a config of ``text``: it exits ``code`` with no output directory and
+    prints nothing on stdout and one line on stderr, which it returns."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not out.exists()
+    return captured.err
 
 
 def test_resolve_center_expressions():
@@ -135,6 +151,9 @@ _DIRECT = dict(sites=500, center_exprs=("50",), half_width=24.0)
                      id="int-half-width"),
         pytest.param(dict(profiles_at=(0.5, 10**400)), "profiles_at 10{400} is not finite",
                      id="int-profile"),
+        # past the 4300 digits an int prints: the value shows its size
+        pytest.param(dict(hopping=10**5000), "hopping <int of 16610 bits> is not finite",
+                     id="int-hopping-past-the-int-string-limit"),
         pytest.param(dict(kind="superposition", center_exprs=("10", "20"),
                           weights=(1.0, float("nan"))), "weights nan is not finite",
                      id="nan-weight"),
@@ -197,14 +216,12 @@ def test_parse_config_line_numbered_errors(mutation, fragment):
         ("profiles_at = 0.25", "profiles_at = 0.25, inf"),
     ],
 )
-def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, replacement):
+def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, capsys, line, replacement):
     text = GOOD_CONFIG.replace(line, replacement)
     with pytest.raises(ConfigError, match="not finite") as err:
         parse_config(text)
     assert err.value.line == GOOD_CONFIG.splitlines().index(line) + 1
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert _refused(tmp_path, capsys, ["trace"], text, 2) == f"config error: {err.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -228,15 +245,13 @@ def test_non_finite_numbers_are_line_numbered_config_errors(tmp_path, line, repl
     ],
 )
 def test_out_of_range_integers_are_line_numbered_config_errors(
-    tmp_path, line, replacement, fragment
+    tmp_path, capsys, line, replacement, fragment
 ):
     text = GOOD_CONFIG.replace(line, replacement)
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_config(text)
     assert err.value.line == GOOD_CONFIG.splitlines().index(line) + 1
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert _refused(tmp_path, capsys, ["trace"], text, 2) == f"config error: {err.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -263,14 +278,14 @@ def test_out_of_range_integers_are_line_numbered_config_errors(
         ("start = 0.0\nstop = 0.5", f"start = 0.0\nstop = {float(2**53)!r}", 11, r"2\*\*53"),
     ],
 )
-def test_out_of_range_floats_are_line_numbered_config_errors(tmp_path, old, new, line, fragment):
+def test_out_of_range_floats_are_line_numbered_config_errors(
+    tmp_path, capsys, old, new, line, fragment
+):
     text = GOOD_CONFIG.replace(old, new)
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_config(text)
     assert err.value.line == line
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    assert cli_main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert _refused(tmp_path, capsys, ["trace"], text, 2) == f"config error: {err.value}\n"
 
 
 SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n"
@@ -293,18 +308,23 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
         ("fraction = 1/2", "fraction = 1e300", 19, r"2\*\*53 t_rev"),
         ("fraction = 1/2", "fraction = 1e-1000000", 19, "Gauss table"),
+        # texts past the 4300 digits that int() reads
+        pytest.param("fraction = 1/2", "fraction = 1" + "0" * 5000, 19, r"2\*\*53 t_rev",
+                     id="fraction-10**5000"),
+        pytest.param("fraction = 1/2", "fraction = 1/" + "1" * 5000, 19, "Gauss table",
+                     id="fraction-q-of-5000-digits"),
+        pytest.param("fraction = 1/2", "fraction = 0." + "0" * 5000 + "1", 19, "Gauss table",
+                     id="fraction-10**-5002"),
         ("[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n", "", 0,
          r"missing \[sweep\]"),
     ],
 )
-def test_sweep_config_errors_are_line_numbered(tmp_path, old, new, line, fragment):
+def test_sweep_config_errors_are_line_numbered(tmp_path, capsys, old, new, line, fragment):
     text = SWEEP_CONFIG.replace(old, new)
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_sweep(text)
     assert err.value.line == line
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert _refused(tmp_path, capsys, ["sweep"], text, 2) == f"config error: {err.value}\n"
 
 
 # A fuzzed config starts valid and then gets up to two values replaced by
@@ -679,27 +699,21 @@ metric = mirror_fidelity
                      "exactly one of", id="two-widths"),
     ],
 )
-def test_sweep_config_refusals_land_on_the_key_they_blame(tmp_path, old, new, line, fragment):
+def test_sweep_config_refusals_land_on_the_key_they_blame(
+    tmp_path, capsys, old, new, line, fragment
+):
     text = SUPERPOSITION_SWEEP.replace(old, new)
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_sweep(text)
     assert err.value.line == line
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert _refused(tmp_path, capsys, ["sweep"], text, 2) == f"config error: {err.value}\n"
 
 
 def test_cli_predict_refuses_a_superposition_on_its_kind_line(tmp_path, capsys):
-    cfg, out = tmp_path / "sup.cfg", tmp_path / "out"
-    cfg.write_text(SUPERPOSITION_SWEEP.split("[sweep]")[0])
-    assert cli_main(["predict", "--config", str(cfg), "--fraction", "1/2", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("config error: line 4: this operation needs a single-packet (gaussian) "
-                            "initial, not a superposition\n")
-    assert not out.exists()
+    text = SUPERPOSITION_SWEEP.split("[sweep]")[0]
+    assert _refused(tmp_path, capsys, ["predict", "--fraction", "1/2"], text, 2) == (
+        "config error: line 4: this operation needs a single-packet (gaussian) initial, "
+        "not a superposition\n")
 
 
 def test_sweep_keeps_the_fractional_rule():
@@ -797,6 +811,10 @@ def test_parse_sweep_section():
     assert spec.variable == "half_width"
     assert spec.values == (8.0, 12.0)
     assert spec.fraction == Fraction(1, 2)
+    # valid fractions written past the 4300 digits that int() reads
+    for fraction, value in [("0" * 5000 + "1/2", Fraction(1, 2)), ("1." + "0" * 5000, 1)]:
+        assert parse_sweep(text.replace("1/2", fraction)).fraction == value
+        assert revival_fraction(fraction) == RevivalFraction(value.numerator, value.denominator)
 
 
 def test_estimate_budget_quoted_values():
@@ -909,11 +927,10 @@ def test_cli_evolve_predict_budget(tmp_path, capsys):
 
 
 def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
-    cfg, out = tmp_path / "far.cfg", tmp_path / "out"
     small = "[chain]\nsites = 40\n[initial]\ncenter = 10\nhalf_width = 6\n"
     # t_rev ~ 5.4e302: a g inside 2**53 whose time g * t_rev is not a finite float
     tiny = small.replace("sites = 40\n", "sites = 40\nhopping = 1e-300\n")
-    for text, argv, bound in [
+    for text, argv, fragment in [
         (small, ["evolve", "--time", "1e305"], "2**53"),
         (small + "[metrics]\nprofiles_at = 1e305\n", ["trace"], "2**53"),
         # the trace and the first profile are good, and neither is written
@@ -925,16 +942,17 @@ def test_cli_far_instants_fail_cleanly(tmp_path, capsys):
         (tiny, ["evolve", "--time", "1e6"], "1e+06 t_rev is not a finite float at t_rev = 5.35"),
         (tiny + "[metrics]\nprofiles_at = 1e6\n", ["trace"],
          "1e+06 t_rev is not a finite float at t_rev = 5.35"),
+        # packets whose exponent overflows, and a profile stack over its bound
+        (small.replace("half_width = 6", "alpha = 1e200"), ["trace"], "no finite weight"),
+        (small.replace("center = 10", "center = 1e308"), ["trace"], "no finite weight"),
+        (OVER_BOUND_PROFILES, ["trace"], "site-profiles"),
     ]:
-        cfg.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli_main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+            err = _refused(tmp_path, capsys, argv, text, 1)
         # a console run would print any RuntimeWarning on stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and bound in err and err.count("\n") == 1
-        assert not out.exists()
+        assert err.startswith("error: ") and fragment in err
 
 
 # 2**20 sites: 9 profiles pass the 2**23 site-profile bound, and a one-site-wide
@@ -966,25 +984,31 @@ def test_profiles_are_refused_before_any_trace_work(tmp_path, monkeypatch):
 
 def test_cli_trace_over_the_work_bound_fails_cleanly(tmp_path, capsys):
     # 2**16 kept modes x (2**16 + 1) points is just over the 2**32 trace-work bound
-    cfg, out = tmp_path / "big.cfg", tmp_path / "out"
-    cfg.write_text("[chain]\nsites = 65536\n[initial]\ncenter = 100\nhalf_width = 1\n"
-                   "[time]\nstart = 0\nstop = 1\npoints = 65537\n")
-    assert cli_main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    text = ("[chain]\nsites = 65536\n[initial]\ncenter = 100\nhalf_width = 1\n"
+            "[time]\nstart = 0\nstop = 1\npoints = 65537\n")
+    err = _refused(tmp_path, capsys, ["trace"], text, 1)
     assert err.startswith("error: ") and "4294967296 point-modes" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["1/0", "abc", "1/100000001", "1e300", "1e1000000"])
-def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction):
+@pytest.mark.parametrize("fraction, fragment", [
+    pytest.param("1/0", "q > 0", id="1/0"),
+    pytest.param("abc", "'abc'", id="abc"),
+    pytest.param("1/100000001", "Gauss table", id="1/100000001"),
+    pytest.param("1e300", "2**53 t_rev", id="1e300"),
+    pytest.param("1e1000000", "2**53 t_rev", id="1e1000000"),
+    pytest.param("1" + "0" * 5000, "2**53 t_rev", id="10**5000"),
+    pytest.param("1/" + "1" * 5000, "Gauss table", id="q-of-5000-digits"),
+    pytest.param("0." + "0" * 5000 + "1", "Gauss table", id="10**-5002"),
+])
+def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction, fragment):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(GOOD_CONFIG)
     with pytest.raises(SystemExit) as err:
         cli_main(["predict", "--config", str(cfg), "--fraction", fraction, "--out", str(tmp_path)])
     assert err.value.code == 2
-    # refused before anything is predicted, printed or written
-    assert capsys.readouterr().out == ""
+    # refused by its rule before anything is predicted, printed or written
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["ok.cfg"]
 
 
@@ -1036,6 +1060,31 @@ def test_cli_parses_each_call_on_its_own(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "e").iterdir()] == ["demo_evolved_t0.5.csv"]
     assert [p.name for p in (tmp_path / "r").iterdir()] == ["fig5b_profile_t0.25.csv"]
     assert [p.name for p in (tmp_path / "s").iterdir()] == ["demo_sweep.csv"]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    pytest.param(["budget", "--sites", "500", "--hopping-mev", "10"], 0, None, id="0-budget"),
+    pytest.param(["budget", "--sites", "500", "--hopping-mev", "10", "--revivals", "0"], 1,
+                 "error: revivals 0.0 is not finite and positive", id="1-budget-revivals-0"),
+    pytest.param(["trace", "--config", "bad.cfg"], 2, "config error: line 2: ", id="2-config"),
+    pytest.param(["predict", "--config", "ok.cfg", "--fraction", "1/0"], 2,
+                 "tbrevival predict: error: argument --fraction: ", id="2-fraction-1/0"),
+])
+def test_the_cli_process_exits_with_the_status_main_returns(tmp_path, argv, code, prefix):
+    # what only a process shows: `python -m tbrevival.cli` exits with main's return value,
+    # and a refusal prints one error line (after argparse's usage) and no traceback
+    (tmp_path / "ok.cfg").write_text(GOOD_CONFIG)
+    (tmp_path / "bad.cfg").write_text(GOOD_CONFIG.replace("sites = 120", "sites = 1"))
+    env = {**os.environ, "PYTHONPATH": str(Path(tbrevival.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "tbrevival.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code and "Traceback" not in done.stderr
+    if prefix is None:
+        assert done.stderr == ""
+    else:  # one error line, the last: argparse prints its usage before it
+        lines = done.stderr.splitlines()
+        assert [line for line in lines if "error" in line] == lines[-1:]
+        assert lines[-1].startswith(prefix)
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -5,8 +5,10 @@ import scipy.linalg
 from tbrevival import (
     ChainSpec,
     GaussianSpec,
+    SuperpositionSpec,
     autocorrelation,
     build_gwp,
+    build_superposition,
     eigen_modes,
     evolve_exact,
     evolve_quadratic,
@@ -15,6 +17,7 @@ from tbrevival import (
     profile,
     reflect,
     revival_clock,
+    trace,
 )
 
 from conftest import random_state
@@ -152,6 +155,40 @@ def test_far_time_is_rejected(sign):
         with pytest.raises(ValueError, match=r"2\*\*53"):
             evaluate(chain, state, sign * bound)
         evaluate(chain, state, sign * np.nextafter(bound, 0))
+
+
+BIG = 10**400  # an int that no float can hold
+
+
+@pytest.mark.filterwarnings("ignore:packet at")
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda c, s: evolve_exact(c, s, 10**20), r"2\*\*53", id="evolve-10**20"),
+    pytest.param(lambda c, s: evolve_quadratic(c, s, 10**20), r"2\*\*53", id="quadratic-10**20"),
+    pytest.param(lambda c, s: evolve_exact(c, s, [0.5, BIG]), "time must be finite", id="evolve"),
+    pytest.param(lambda c, s: autocorrelation(c, s, BIG), "time must be finite",
+                 id="autocorrelation"),
+    pytest.param(lambda c, s: trace(c, s, [BIG]), "non-finite", id="trace"),
+    pytest.param(lambda c, s: GaussianSpec(10.0, BIG), "alpha must be positive and finite",
+                 id="alpha"),
+    pytest.param(lambda c, s: GaussianSpec.from_half_width(10.0, BIG),
+                 "half_width must be positive and finite", id="half-width"),
+    # a center or weight past the float range is refused where an inf one is: at the build
+    pytest.param(lambda c, s: build_gwp(c, GaussianSpec(BIG, 1.0)), "no finite weight",
+                 id="center"),
+    pytest.param(lambda c, s: build_gwp(c, GaussianSpec.from_half_width(BIG, 6.0)),
+                 "no finite weight", id="half-width-center"),
+    pytest.param(lambda c, s: build_superposition(c, SuperpositionSpec((BIG, 20.0), (1, 1), 1.0)),
+                 "no finite weight", id="superposition-center"),
+    pytest.param(lambda c, s: build_superposition(c, SuperpositionSpec.equal_weights((BIG,), 1.0)),
+                 "no finite weight", id="equal-weights-center"),
+    pytest.param(lambda c, s: build_superposition(c, SuperpositionSpec((10.0, 20.0), (BIG, 1),
+                                                                       1.0)),
+                 "not finite", id="superposition-weight"),
+])
+def test_a_number_that_no_float_holds_is_refused_by_its_rule(call, fragment):
+    chain = ChainSpec(40)
+    with pytest.raises(ValueError, match=fragment):
+        call(chain, build_gwp(chain, GaussianSpec(10.0, 0.3)))
 
 
 def test_profile_stack_is_bounded_before_it_is_built():

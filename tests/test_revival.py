@@ -43,6 +43,11 @@ def test_revival_fraction_validation():
         RevivalFraction(1, 0)
     with pytest.raises(ValueError):
         RevivalFraction(-1, 3)
+    # ints past Python's 4300-digit int-to-string limit are refused by their rule too
+    with pytest.raises(ValueError, match=r"numerator >= 0 .*, got -<int of 16610 bits>/1"):
+        RevivalFraction(-10**5000, 1)
+    with pytest.raises(ValueError, match="<int of 16611 bits>/<int of 16612 bits> is not reduced"):
+        RevivalFraction(2 * 10**5000, 4 * 10**5000)
     for p, q in [(1.5, 2), (float("inf"), 1), (1, float("inf")), (float("-inf"), 1),
                  (float("nan"), 1)]:
         with pytest.raises(ValueError, match="must be integers"):

@@ -125,6 +125,7 @@ def test_spectral_zeros_for_third_chain_center(chain500):
     assert np.abs(coeff[n % 3 == 0]).max() < 1e-10
     assert len(surviving_modes(coeff)) > 0
     assert np.all(surviving_modes(coeff) % 3 != 0)
+    assert surviving_modes([]).tolist() == []  # an empty vector keeps no mode
 
 
 def test_spectral_zeros_for_half_chain_center(chain500):
@@ -178,6 +179,8 @@ def test_superposition_vanishing_levels(chain500):
 def test_superposition_empty_rejected():
     with pytest.raises(ValueError):
         SuperpositionSpec(centers=(), weights=(), alpha=0.1)
+    with pytest.raises(ValueError, match="same length"):
+        SuperpositionSpec(centers=(10.0,), weights=(1, 1), alpha=0.1)
 
 
 NAN = float("nan")
