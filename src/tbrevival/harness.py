@@ -28,7 +28,8 @@ Config files are flat key/value text with sections::
     variable = half_width  # or: sites, center
     values = 8, 12, 16     # each read as the swept key itself is read
     metric = fractional_fidelity  # or: mirror_fidelity (both need a gaussian); autocorrelation
-    fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0; the instant rule holds
+    fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0; the instant rule holds;
+                           # at most 64 characters
 
 The instant rule: an instant g in units of t_rev is finite with |g| < 2**53,
 and it is checked before it becomes the time g t_rev.
@@ -380,6 +381,7 @@ def _list(convert):
     return lambda value: tuple(convert(v.strip()) for v in value.split(",") if v.strip())
 
 
+_FRACTION_CHARS = 64  # no usable p/q needs half of it: q <= 2**18 and p < 2**53 q
 _DIGITS = r"\d+(?:_\d+)*"
 # Fraction's grammar in ASCII digits: [sign] p/q, or [sign] a decimal with an optional exponent
 _FRACTION_RE = re.compile(
@@ -387,35 +389,29 @@ _FRACTION_RE = re.compile(
     rf"(?:[eE]([-+]?)({_DIGITS}))?)\s*", re.ASCII)
 
 
-def _int(digits: str) -> int:
-    """The int a digit string names, at any length: ``int`` alone stops at 4300 digits."""
-    digits, value = digits.replace("_", ""), 0
-    for start in range(0, len(digits), 4000):
-        chunk = digits[start:start + 4000]
-        value = value * 10**len(chunk) + int(chunk)
-    return value
-
-
 def _fraction(text: str) -> Fraction:
-    """Read ``p/q`` or a decimal as ``Fraction`` reads it, in ASCII digits, at any length.
+    """Read ``p/q`` or a decimal of at most 64 characters as ``Fraction`` reads it, in ASCII digits.
 
-    A decimal's exponent is bounded before 10**|e| is built: past |e| = len(text) + 16,
-    which any 19-digit e is, a nonzero decimal is below 10**-6 or at least 10**16, so
-    its q is past the Gauss table's bound or its p/q past 2**53; a zero is 0.
+    A decimal's exponent is bounded before 10**|e| is built: past |e| = 80 (64 + 16), a
+    nonzero decimal is below 10**-6 or at least 10**16, so its q is past the Gauss table's
+    bound or its p/q past 2**53; a zero is 0.
     """
+    if len(text) > _FRACTION_CHARS:
+        raise ValueError(f"a fraction text of {len(text)} characters is longer than "
+                         f"{_FRACTION_CHARS}")
     m = _FRACTION_RE.fullmatch(text)
     if not m:
         raise ValueError(f"{text!r} is not a fraction p/q or a decimal")
     sign, whole, denominator, decimals, e_sign, e_digits = m.groups()
     decimals = (decimals or "").replace("_", "")
-    p, q = _int((whole or "") + decimals), 1
+    p, q = int((whole or "") + decimals), 1
     if denominator is not None:
-        q = _int(denominator)
+        q = int(denominator)
         if not q:
             raise ValueError(f"{text!r} is not a fraction p/q with q > 0")
     elif p:
-        e = int((e_digits or "").replace("_", "").lstrip("0")[:19] or 0)
-        if e > len(text) + 16:
+        e = int(e_digits or 0)
+        if e > _FRACTION_CHARS + 16:
             raise ValueError(f"{text!r} is below 10**-6: its Gauss table would exceed 2**18 entries"
                              if e_sign == "-" else f"{text!r} is not below 2**53 t_rev")
         shift = (-e if e_sign == "-" else e) - len(decimals)
@@ -426,9 +422,9 @@ def _fraction(text: str) -> Fraction:
 def revival_fraction(text: str) -> RevivalFraction:
     """Read ``p/q`` (or a decimal) as a revival fraction; a bad one is a ``ValueError``.
 
-    A text past Python's 4300-digit int-to-string limit is read in full (in time quadratic
-    in its length: ~0.05 s at 10**5 digits) and refused, as any text is, by the first rule
-    its value breaks: the Gauss table's bound on q, then p >= 0 and p/q below 2**53 t_rev.
+    A text longer than 64 characters is refused before it is read.  Any other is refused by
+    the first rule its value breaks: the Gauss table's bound on q, then p >= 0 and p/q below
+    2**53 t_rev.
     """
     return _revival_fraction(_fraction(text))
 

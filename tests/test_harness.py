@@ -308,12 +308,12 @@ SWEEP_CONFIG = GOOD_CONFIG + "[sweep]\nvariable = half_width\nvalues = 8, 12\nfr
         ("fraction = 1/2", "fraction = 1e-400", 19, "Gauss table"),
         ("fraction = 1/2", "fraction = 1e300", 19, r"2\*\*53 t_rev"),
         ("fraction = 1/2", "fraction = 1e-1000000", 19, "Gauss table"),
-        # texts past the 4300 digits that int() reads
-        pytest.param("fraction = 1/2", "fraction = 1" + "0" * 5000, 19, r"2\*\*53 t_rev",
+        # texts longer than the 64 characters a fraction may have
+        pytest.param("fraction = 1/2", "fraction = 1" + "0" * 5000, 19, "longer than 64",
                      id="fraction-10**5000"),
-        pytest.param("fraction = 1/2", "fraction = 1/" + "1" * 5000, 19, "Gauss table",
+        pytest.param("fraction = 1/2", "fraction = 1/" + "1" * 5000, 19, "longer than 64",
                      id="fraction-q-of-5000-digits"),
-        pytest.param("fraction = 1/2", "fraction = 0." + "0" * 5000 + "1", 19, "Gauss table",
+        pytest.param("fraction = 1/2", "fraction = 0." + "0" * 5000 + "1", 19, "longer than 64",
                      id="fraction-10**-5002"),
         ("[sweep]\nvariable = half_width\nvalues = 8, 12\nfraction = 1/2\n", "", 0,
          r"missing \[sweep\]"),
@@ -811,10 +811,13 @@ def test_parse_sweep_section():
     assert spec.variable == "half_width"
     assert spec.values == (8.0, 12.0)
     assert spec.fraction == Fraction(1, 2)
-    # valid fractions written past the 4300 digits that int() reads
-    for fraction, value in [("0" * 5000 + "1/2", Fraction(1, 2)), ("1." + "0" * 5000, 1)]:
-        assert parse_sweep(text.replace("1/2", fraction)).fraction == value
-        assert revival_fraction(fraction) == RevivalFraction(value.numerator, value.denominator)
+    # valid fractions written in more than 64 characters are refused by the length
+    for fraction in ["0" * 5000 + "1/2", "1." + "0" * 5000]:
+        with pytest.raises(ConfigError, match="longer than 64") as err:
+            parse_sweep(text.replace("1/2", fraction))
+        assert err.value.line == 19
+        with pytest.raises(ValueError, match="longer than 64"):
+            revival_fraction(fraction)
 
 
 def test_estimate_budget_quoted_values():
@@ -996,9 +999,9 @@ def test_cli_trace_over_the_work_bound_fails_cleanly(tmp_path, capsys):
     pytest.param("1/100000001", "Gauss table", id="1/100000001"),
     pytest.param("1e300", "2**53 t_rev", id="1e300"),
     pytest.param("1e1000000", "2**53 t_rev", id="1e1000000"),
-    pytest.param("1" + "0" * 5000, "2**53 t_rev", id="10**5000"),
-    pytest.param("1/" + "1" * 5000, "Gauss table", id="q-of-5000-digits"),
-    pytest.param("0." + "0" * 5000 + "1", "Gauss table", id="10**-5002"),
+    pytest.param("1" + "0" * 5000, "longer than 64", id="10**5000"),
+    pytest.param("1/" + "1" * 5000, "longer than 64", id="q-of-5000-digits"),
+    pytest.param("0." + "0" * 5000 + "1", "longer than 64", id="10**-5002"),
 ])
 def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction, fragment):
     cfg = tmp_path / "ok.cfg"
@@ -1014,7 +1017,9 @@ def test_cli_bad_fraction_is_an_argument_error(tmp_path, capsys, fraction, fragm
 
 @pytest.mark.parametrize("text, fragment", [("1e-1000000", "Gauss table"),
                                             ("1e1000000", r"2\*\*53 t_rev"),
-                                            ("-1e1000000", r"2\*\*53 t_rev")])
+                                            ("-1e1000000", r"2\*\*53 t_rev"),
+                                            pytest.param("1" * 10**6, "longer than 64",
+                                                         id="10**6-ones")])
 def test_a_far_decimal_exponent_is_refused_before_its_power_is_built(text, fragment):
     # Fraction(text) would build 10**1000000 first, which takes tenths of a second
     for read in (revival_fraction, lambda t: parse_sweep(SWEEP_CONFIG.replace("1/2", t))):
@@ -1038,6 +1043,33 @@ def test_a_long_number_without_an_exponent_is_read_in_linear_time():
         with pytest.raises(ValueError):
             revival_fraction(text)
     assert time.perf_counter() - start < 0.5
+
+
+# One ASCII grammar on every supported Python, where Fraction's own differs by version
+@pytest.mark.parametrize("text, read", [
+    pytest.param(" 3 / 4 ", Fraction(3, 4), id="spaces-around-slash"),
+    pytest.param("1_000/3", Fraction(1000, 3), id="underscore"),
+    pytest.param("+1/2", Fraction(1, 2), id="plus"),
+    pytest.param(".5", Fraction(1, 2), id="no-whole-part"),
+    pytest.param("5.", Fraction(5), id="no-decimals"),
+    pytest.param("1e-2", Fraction(1, 100), id="exponent"),
+    pytest.param("0e99999999999", Fraction(0), id="zero-at-a-far-exponent"),
+    pytest.param("0" * 61 + "1/2", Fraction(1, 2), id="64-characters"),
+    pytest.param("\u0663/\u0664", "not a fraction", id="arabic-indic-digits"),
+    pytest.param("1__0/3", "not a fraction", id="double-underscore"),
+    pytest.param("0" * 62 + "1/2", "longer than 64", id="65-characters"),
+])
+def test_a_fraction_text_of_at_most_64_characters_is_read_in_one_grammar(text, read):
+    config = SWEEP_CONFIG.replace("fraction = 1/2", f"fraction = {text}")
+    if isinstance(read, Fraction):
+        assert revival_fraction(text) == RevivalFraction(read.numerator, read.denominator)
+        assert parse_sweep(config).fraction == read
+        return
+    with pytest.raises(ValueError, match=read):
+        revival_fraction(text)
+    with pytest.raises(ConfigError, match=read) as err:
+        parse_sweep(config)
+    assert err.value.line == 19
 
 
 def test_cli_parses_each_call_on_its_own(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -187,8 +189,10 @@ BIG = 10**400  # an int that no float can hold
 ])
 def test_a_number_that_no_float_holds_is_refused_by_its_rule(call, fragment):
     chain = ChainSpec(40)
-    with pytest.raises(ValueError, match=fragment):
-        call(chain, build_gwp(chain, GaussianSpec(10.0, 0.3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=fragment):
+            call(chain, build_gwp(chain, GaussianSpec(10.0, 0.3)))
 
 
 def test_profile_stack_is_bounded_before_it_is_built():

@@ -183,7 +183,7 @@ def test_superposition_empty_rejected():
         SuperpositionSpec(centers=(10.0,), weights=(1, 1), alpha=0.1)
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.filterwarnings("ignore:packet at")
@@ -203,11 +203,20 @@ NAN = float("nan")
         pytest.param(lambda c: predict_state(c, GaussianSpec(center=NAN, alpha=0.2),
                                              RevivalFraction(1, 2)),
                      "no finite spectral weight", id="predict-nan-center"),
+        # sin(inf) and inf * 0 on the way to these refusals
+        pytest.param(lambda c: predict_state(c, GaussianSpec(center=INF, alpha=0.2),
+                                             RevivalFraction(1, 2)),
+                     "no finite spectral weight", id="predict-inf-center"),
+        pytest.param(lambda c: build_superposition(
+                         c, SuperpositionSpec(centers=(10.0, 30.0), weights=(1, INF), alpha=0.2)),
+                     "cancel exactly or are not finite", id="inf-weight"),
     ],
 )
 def test_builders_refuse_a_state_without_finite_weight(build, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        build(ChainSpec(n_sites=40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=fragment):
+            build(ChainSpec(n_sites=40))
 
 
 @pytest.mark.filterwarnings("ignore:packet at")
