@@ -11,6 +11,7 @@ from tbrevival import (
     build_gwp,
     build_gwp_spectral,
     build_superposition,
+    effective_period,
     high_mode_weight,
     inner_product,
     packet_overlap,
@@ -174,6 +175,29 @@ def test_superposition_vanishing_levels(chain500):
     assert np.abs(coeff[n % 6 == 3]).max() < 1e-12
     surv = surviving_modes(coeff)
     assert set(surv % 6) == {1, 5}
+
+
+@pytest.mark.parametrize("weights", [(1e308, 1e308), (5e-324, 5e-324), (1e-320, 1e-320)],
+                         ids=["huge", "least-subnormal", "subnormal"])
+def test_superposition_of_huge_or_tiny_finite_weights_builds_as_unit_weights(weights):
+    # the weights are scaled before the sum: no overflow in it, no product underflows
+    chain = ChainSpec(40)
+    built = build_superposition(chain, SuperpositionSpec((10.0, 10.0), weights, 3.0))
+    unit_weights = build_superposition(chain, SuperpositionSpec((10.0, 10.0), (1, 1), 3.0))
+    np.testing.assert_allclose(built, unit_weights, rtol=0, atol=1e-15)
+
+
+def test_spectral_readers_take_a_strided_view_as_its_contiguous_copy(chain500):
+    packet = build_gwp_spectral(chain500, GaussianSpec.from_half_width(501 / 3, 24.0))
+    view = np.repeat(packet, 2)[::2]  # the same entries, every other one of a longer array
+    assert not view.flags.c_contiguous and np.array_equal(view, packet)
+    assert high_mode_weight(chain500, view) == high_mode_weight(chain500, packet)
+    assert effective_period(chain500, view) == effective_period(chain500, packet)
+    seen, expected = spmc_check(chain500, view), spmc_check(chain500, packet)
+    np.testing.assert_array_equal(seen.support, expected.support)
+    assert ((seen.max_relative_deviation, seen.within_tolerance, seen.parity_matched)
+            == (expected.max_relative_deviation, expected.within_tolerance,
+                expected.parity_matched))
 
 
 def test_superposition_empty_rejected():
