@@ -35,8 +35,8 @@ quarter-period revivals of a quarter-chain packet) arise.
 
 ``predict_state`` does not sum the clones for its state: the Fourier
 expansion above is exact, so the clone sum is the packet's mode
-coefficients times exp(-i p n^2 pi/q), which it builds from the integer
-phase p n^2 mod 2q in O(N) for any q.
+coefficients times exp(-i p n^2 pi/q): the row of l phases that the Gauss
+table transforms, taken from the integer p n^2 mod 2q, tiled in O(l + N).
 """
 
 from __future__ import annotations
@@ -146,24 +146,24 @@ class GaussCoefficients:
 def gauss_coefficients(fraction: RevivalFraction) -> GaussCoefficients:
     """b_r = (1/l) sum_n exp(i(2 pi n r/l - p n^2 pi/q)).
 
-    The summand is l-periodic in n, so the window origin is immaterial, and
-    depends on p only mod 2q; the residue (n^2 mod 2q) p mod 2q is taken in
-    integers, which keeps the inverse DFT exact.  Satisfies b_r = b_{l-r} and
+    The summand is l-periodic in n, so the window origin is immaterial; one
+    period of it (:func:`_quadratic_phases`, the row that :func:`predict_state`
+    tiles) is transformed in O(l log l).  Satisfies b_r = b_{l-r} and
     |b_r|^2 in {0, 1/q}; the mirror weight |b_{l/2}| is 1/sqrt(q) for odd p
     and 0 for even p.  A table past 2**18 entries is refused before it is built.
 
     Each table is built once and shared: the tables of the last 8 fractions
     asked for are kept, and their ``values`` are read-only.
     """
-    l = fourier_period(fraction.denominator)
-    values = np.fft.ifft(_quadratic_phases(fraction, np.arange(l, dtype=np.int64)))
+    values = np.fft.ifft(_quadratic_phases(fraction))
     values.flags.writeable = False
-    return GaussCoefficients(period=l, values=values)
+    return GaussCoefficients(period=len(values), values=values)
 
 
-def _quadratic_phases(fraction: RevivalFraction, n: np.ndarray) -> np.ndarray:
-    """exp(-i pi p n^2/q) at int64 ``n``, looked up at r = (p mod 2q)(n^2 mod 2q) mod 2q."""
+def _quadratic_phases(fraction: RevivalFraction) -> np.ndarray:
+    """One period n = 0..l-1 of exp(-i pi r/q), r = (p mod 2q)(n^2 mod 2q) mod 2q in integers."""
     p, q = fraction.numerator, fraction.denominator
+    n = np.arange(fourier_period(q), dtype=np.int64)
     residue = (p % (2 * q)) * (n * n % (2 * q)) % (2 * q)
     return np.exp(-1j * np.pi * np.arange(2 * q) / q)[residue]
 
@@ -233,8 +233,8 @@ def predict_state(
     """The clone superposition for t = (p/q) t_rev, and its folded clones.
 
     The state is the packet's mode coefficients (``build_gwp_spectral``)
-    times the quadratic phases exp(-i pi r_n/q), with the integer residue
-    r_n = (p mod 2q)(n^2 mod 2q) mod 2q looked up in a 2q-entry table.
+    times exp(-i pi p n^2/q): one period of it (:func:`_quadratic_phases`,
+    the row the Gauss table transforms), tiled over n = 1..N in O(l + N).
     That is the quadratic-spectrum evolution of the packet, and also the
     sum of the clones that ``entries`` lists (centers folded into the chain,
     Gauss-sum weights with their fold signs); comparing the state against
@@ -259,13 +259,11 @@ def predict_state(
         )
 
     entries = []
-    for r in range(l):
-        if abs(b[r]) < 1e-10:  # a Gauss-sum zero: no clone
-            continue
+    for r in np.flatnonzero(np.abs(b) >= 1e-10):  # the q nonzero Gauss sums, one clone each
         center, sign, _ = fold_center(chain, spec.center + 2.0 * L * r / l)
         entries.append(CloneEntry(center=center, weight=sign * complex(b[r])))
 
-    phases = _quadratic_phases(fraction, np.arange(1, chain.n_sites + 1, dtype=np.int64))
+    phases = np.tile(_quadratic_phases(fraction), L // l + 1)[1:L]  # n = 1..N
     return SubPacketPrediction(chain=chain, spec=spec, fraction=fraction,
                                entries=tuple(entries), state=to_position(chain, packet * phases))
 

@@ -125,9 +125,9 @@ def _scaled(vector, message: str) -> np.ndarray:
 
 
 def _unit(vector: np.ndarray, message: str) -> np.ndarray:
-    """``vector`` at unit norm: one exact :func:`_scaled`, then one norm and one division."""
+    """``vector`` at unit norm: one exact :func:`_scaled`, one norm, one product by its inverse."""
     vector = _scaled(vector, message)
-    return vector / np.linalg.norm(vector)
+    return vector * (1.0 / np.linalg.norm(vector))  # numpy's complex / real, but for -0.0 signs
 
 
 def _unit_coefficients(chain: ChainSpec, coefficients) -> np.ndarray:

@@ -523,6 +523,9 @@ def _config_text(fields: dict, sweep: dict | None) -> str:
 
 @settings(max_examples=120, deadline=None)
 @given(field_sets())
+@example(({"sites": 40, "kind": "gaussian", "center_exprs": ("10",), "half_width": 6.0},
+          {"variable": "half_width", "values": (6.0,), "metric": "fractional_fidelity",
+           "fraction": Fraction(10**300)}))  # written in 301 digits
 def test_parsing_refuses_exactly_what_direct_construction_refuses(drawn):
     fields, sweep = drawn
     try:
@@ -530,11 +533,23 @@ def test_parsing_refuses_exactly_what_direct_construction_refuses(drawn):
         direct = direct if sweep is None else SweepSpec(base=direct, **sweep)
     except ValueError as exc:
         direct, refusal = None, str(exc)
+    text = _config_text(fields, sweep)
+    written = str(sweep["fraction"]) if sweep else ""
     try:
-        parsed = (parse_config if sweep is None else parse_sweep)(_config_text(fields, sweep))
+        parsed = (parse_config if sweep is None else parse_sweep)(text)
     except ConfigError as exc:
         assert direct is None
-        assert str(exc).endswith(refusal)
+        if len(written) > 64 and exc.line == text.splitlines().index(f"fraction = {written}") + 1:
+            # the reader refuses a text this long before reading it; direct construction
+            # refuses its value, as every fraction it accepts is written in at most 29
+            # characters (p < 2**53 q <= 2**71 has 22 digits, q <= 2**18 has 6)
+            with pytest.raises(ValueError, match=r"2\*\*53 t_rev|Gauss table"):
+                SweepSpec(base=Scenario(sites=40, center_exprs=("10",), half_width=6.0),
+                          variable="half_width", values=(6.0,), fraction=sweep["fraction"])
+            assert str(exc) == (f"line {exc.line}: bad value for 'fraction': a fraction text "
+                                f"of {len(written)} characters is longer than 64")
+        else:
+            assert str(exc).endswith(refusal)
     else:
         assert parsed == direct
 

@@ -286,6 +286,49 @@ def test_prediction_has_exactly_q_clones():
                     assert np.abs(_clone_sum(pred) - pred.state).max() < 1e-12, (center, p, q)
 
 
+def _per_site_prediction(chain, spec, fraction):
+    """The predicted state and clones as each site and each Gauss coefficient gives them.
+
+    The state is the packet's modes times exp(-i pi r_n/q), the residue r_n = p n^2 mod 2q
+    taken at every n = 1..N; the clones are every r in 0..l-1 whose b_r is not a Gauss-sum zero.
+    """
+    p, q = fraction.numerator, fraction.denominator
+    n = np.arange(1, chain.n_sites + 1, dtype=np.int64)
+    phases = np.exp(-1j * np.pi * np.arange(2 * q) / q)[p * n * n % (2 * q)]
+    b, l, L = gauss_coefficients(fraction).values, fourier_period(q), chain.n_sites + 1
+    entries = []
+    for r in range(l):
+        if abs(b[r]) >= 1e-10:
+            center, sign, _ = fold_center(chain, spec.center + 2.0 * L * r / l)
+            entries.append((center, sign * complex(b[r])))
+    return to_position(chain, build_gwp_spectral(chain, spec) * phases), entries
+
+
+@pytest.mark.filterwarnings("ignore:packet")  # short chains hold no packet
+@pytest.mark.parametrize("n_sites", [2, 3, 7, 500, 3982])
+def test_prediction_is_bit_identical_to_its_per_site_phases(n_sites):
+    # one period of phases, tiled over the chain, is exactly the phase at every site
+    chain = ChainSpec(n_sites=n_sites)
+    spec = GaussianSpec.from_half_width(0.3 * n_sites + 0.7, max(1.0, n_sites / 16))
+    for q in range(1, 41):
+        for p in range(6 * q):
+            if np.gcd(p, q) == 1:
+                pred = predict_state(chain, spec, RevivalFraction(p, q))
+                state, entries = _per_site_prediction(chain, spec, pred.fraction)
+                assert pred.state.tobytes() == state.tobytes(), (p, q)
+                assert [(e.center, e.weight) for e in pred.entries] == entries, (p, q)
+
+
+def test_prediction_at_the_largest_odd_denominator_has_q_clones(chain500, spec50):
+    # l = 2q = 2**18 - 2 phases, far more than the chain's 500 sites
+    fraction = RevivalFraction(1, 2**17 - 1)
+    pred = predict_state(chain500, spec50, fraction)
+    assert len(pred.entries) == 2**17 - 1
+    state, entries = _per_site_prediction(chain500, spec50, fraction)
+    assert pred.state.tobytes() == state.tobytes()
+    assert [(e.center, e.weight) for e in pred.entries] == entries
+
+
 def test_prediction_warns_on_high_mode_weight(chain500):
     # a two-site-wide packet puts far more than 1e-6 of its weight above n = (N+1)/4
     spec = GaussianSpec.from_half_width(center=250.0, half_width=2.0)
