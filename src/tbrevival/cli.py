@@ -19,7 +19,6 @@ import numpy as np
 from .fidelity import _overlaps
 from .harness import (
     ConfigError,
-    _parse_gaussian,
     estimate_budget,
     parse_config,
     parse_sweep,
@@ -59,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, required=True, help="instant in units of t_rev")
     sub.add_parser("trace", parents=runs, help="fidelity trace over the configured time grid")
     p = sub.add_parser("predict", parents=runs,
-                       help="analytic sub-packet prediction at p/q of t_rev")
+                       help="analytic sub-packets at p/q of t_rev, of a packet or superposition")
     p.add_argument("--fraction", type=_fraction, required=True,
                    help="revival fraction, e.g. 1/3")
     sub.add_parser("sweep", parents=runs, help="run the [sweep] section of the config")
@@ -98,10 +97,11 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
 
         elif args.command == "predict":
-            scenario, fraction = _parse_gaussian(config), args.fraction
-            spec = scenario.gaussian_spec()
-            prediction = predict_state(scenario.chain(), spec, fraction)
-            print(f"sub-packets at t = {fraction} of t_rev (center {spec.center:g}):")
+            scenario, fraction = parse_config(config), args.fraction
+            prediction = predict_state(scenario.chain(), scenario._packet_spec(), fraction)
+            centers = scenario.centers()
+            print(f"sub-packets at t = {fraction} of t_rev (center{'s' * (len(centers) > 1)} "
+                  f"{', '.join(f'{c:g}' for c in centers)}):")
             print("  center      weight_re      weight_im      probability")
             for center, weight in prediction.merged():
                 print(f"  {center:9.3f}  {weight.real:+.10f}  {weight.imag:+.10f}  "

@@ -27,7 +27,7 @@ Config files are flat key/value text with sections::
     [sweep]                # only for a sweep
     variable = half_width  # or: sites, center
     values = 8, 12, 16     # each read as the swept key itself is read
-    metric = fractional_fidelity  # or: mirror_fidelity (both need a gaussian); autocorrelation
+    metric = fractional_fidelity  # or: mirror_fidelity; autocorrelation
     fraction = 1/2         # instant p/q of t_rev, q >= 1, p >= 0; the instant rule holds;
                            # at most 64 characters
 
@@ -184,18 +184,20 @@ class Scenario:
         return tuple(resolve_center(e, self.sites, self.convention) for e in self.center_exprs)
 
     def initial_state(self) -> np.ndarray:
-        if self.kind == "gaussian":
-            return build_gwp(self.chain(), self.gaussian_spec())
-        centers = self.centers()
-        weights = tuple(complex(w) for w in self.weights or (1.0,) * len(centers))
-        spec = SuperpositionSpec(centers=centers, weights=weights, alpha=self.packet_alpha())
-        return build_superposition(self.chain(), spec)
+        build = build_gwp if self.kind == "gaussian" else build_superposition
+        return build(self.chain(), self._packet_spec())
 
     def gaussian_spec(self) -> GaussianSpec:
         if self.kind != "gaussian":
             raise ValueError("this operation needs a single-packet (gaussian) initial, "
                              f"not a {self.kind}")
-        return GaussianSpec(center=self.centers()[0], alpha=self.packet_alpha())
+        return self._packet_spec()
+
+    def _packet_spec(self) -> GaussianSpec | SuperpositionSpec:
+        if self.kind == "gaussian":
+            return GaussianSpec(center=self.centers()[0], alpha=self.packet_alpha())
+        weights = tuple(complex(w) for w in self.weights or (1.0,) * len(self.center_exprs))
+        return SuperpositionSpec(centers=self.centers(), weights=weights, alpha=self.packet_alpha())
 
     def grid(self):
         """Time grid in t_rev units: a :class:`DenominatorGrid` when a denominator is set.
@@ -497,24 +499,14 @@ def _built(entries, cls, keys: dict, **given):
         raise ConfigError(lines.get(exc.field, 0), str(exc)) from None
 
 
-def _parse_gaussian(text: str) -> Scenario:
-    """:func:`parse_config` for one packet: a superposition is refused on its ``kind`` line."""
-    entries = _parse_entries(text)
-    scenario = _scenario(entries)
-    if scenario.kind != "gaussian":  # only a kind line makes a superposition
-        raise ConfigError(entries["initial"]["kind"][1], "this operation needs a single-packet "
-                          f"(gaussian) initial, not a {scenario.kind}")
-    return scenario
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-variable sweep of a scalar metric evaluated at a fixed fraction of t_rev.
 
     Built directly, by ``replace()`` or parsed, it keeps every value rule (``_SWEEP_RULES``)
     or is a ``ValueError`` at once: a known variable and metric, each value as its
-    variable's own key reads it (its swept scenario must build), a fidelity metric only on
-    a gaussian base, and a ``fraction``, a ``Fraction``, that :func:`revival_fraction` accepts.
+    variable's own key reads it (its swept scenario must build), and a ``fraction``, a
+    ``Fraction``, that :func:`revival_fraction` accepts.  Every metric takes either kind of base.
     """
 
     base: Scenario
@@ -542,8 +534,6 @@ _SWEEP_RULES = (
     _each("values", build=lambda v, w: _swept(w, v)),
     _each("fraction", _RATIONAL, build=lambda f, _: _revival_fraction(f)),
     ("values", lambda w: not w.values and "sweep needs at least one value"),
-    ("metric", lambda w: w.metric != "autocorrelation" and w.base.kind != "gaussian"
-     and f"metric {w.metric} needs a single-packet (gaussian) initial, not a {w.base.kind}"),
 )
 
 

@@ -37,6 +37,8 @@ quarter-period revivals of a quarter-chain packet) arise.
 expansion above is exact, so the clone sum is the packet's mode
 coefficients times exp(-i p n^2 pi/q): the row of l phases that the Gauss
 table transforms, taken from the integer p n^2 mod 2q, tiled in O(l + N).
+The map is linear: a superposition lists each component's clones at its
+weight, all folded as one array, and ``merged`` adds those that coincide.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .chain import (
 )
 from .propagator import _instant_times, quadratic_energies, revival_clock
 from .wavepacket import (
-    GaussianSpec, _gwp_spectral, _unit_coefficients, _warn_if_not_contained,
-    build_gwp_spectral, high_mode_weight, surviving_modes,
+    _CANCELLED, GaussianSpec, SuperpositionSpec, _gwp_spectral, _scaled, _unit_coefficients,
+    _warn_if_not_contained, build_gwp_spectral, high_mode_weight, surviving_modes,
 )
 
 __all__ = [
@@ -173,13 +175,18 @@ def fold_center(chain: ChainSpec, center: float) -> tuple[float, float, bool]:
 
     Returns (folded_center, sign, reflected): the odd 2(N+1)-periodic
     extension maps x -> x mod 2(N+1) freely, and x -> 2(N+1)-x with a sign
-    flip, which also mirrors the clone.
+    flip, which also mirrors the clone: the scalar view of :func:`_fold`.
     """
+    folded, reflected = _fold(chain, float(center))
+    return float(folded), -1.0 if reflected else 1.0, bool(reflected)
+
+
+def _fold(chain: ChainSpec, centers):
+    """:func:`fold_center` of an array of centers: the folded centers and which were reflected."""
     L = chain.n_sites + 1
-    y = float(center) % (2 * L)
-    if y > L:
-        return 2 * L - y, -1.0, True
-    return y, 1.0, False
+    with np.errstate(invalid="ignore"):  # nan for an infinite center, as Python's float % gives
+        y = np.remainder(centers, 2 * L)
+    return np.where(y > L, 2 * L - y, y), y > L
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,7 @@ class SubPacketPrediction:
     """Predicted state at t = (p/q) t_rev and its clone decomposition."""
 
     chain: ChainSpec
-    spec: GaussianSpec
+    spec: GaussianSpec | SuperpositionSpec
     fraction: RevivalFraction
     entries: tuple[CloneEntry, ...]
     state: np.ndarray = field(repr=False)
@@ -227,45 +234,48 @@ def _packet(chain: ChainSpec, spec: GaussianSpec) -> tuple[np.ndarray, float]:
     return packet, high_mode_weight(chain, packet)
 
 
-def predict_state(
-    chain: ChainSpec, spec: GaussianSpec, fraction: RevivalFraction
-) -> SubPacketPrediction:
+def predict_state(chain: ChainSpec, spec: GaussianSpec | SuperpositionSpec,
+                  fraction: RevivalFraction) -> SubPacketPrediction:
     """The clone superposition for t = (p/q) t_rev, and its folded clones.
 
-    The state is the packet's mode coefficients (``build_gwp_spectral``)
-    times exp(-i pi p n^2/q): one period of it (:func:`_quadratic_phases`,
-    the row the Gauss table transforms), tiled over n = 1..N in O(l + N).
-    That is the quadratic-spectrum evolution of the packet, and also the
-    sum of the clones that ``entries`` lists (centers folded into the chain,
-    Gauss-sum weights with their fold signs); comparing the state against
-    the exact propagator measures only the quartic dispersion error.
+    The state is the packet's mode coefficients times one period of exp(-i pi p n^2/q)
+    (:func:`_quadratic_phases`) tiled over n = 1..N, in O(l + N): the quadratic-spectrum
+    evolution, which differs from the exact one only by the quartic dispersion, and the sum
+    of the clones ``entries`` lists, folded as one array.  A superposition evolves
+    sum_j w_j c_j over its norm (c_j the unit packet of component j, w_j its exactly scaled
+    weight); its entries are each component's q clones in turn, weighted w_j sign b_r / norm.
 
-    The Gauss table (see :func:`gauss_coefficients`) and the packet's mode
-    coefficients with their high-mode weight are shared and read-only, each
-    from an ``lru_cache``: the packet's keeps the last (chain, spec).  The
-    containment and high-mode warnings are given on every call, outside it.
+    The Gauss table and the last packet's modes and high-mode weight are remembered,
+    read-only; the containment and high-mode warnings come per component, on every call.
     """
     coeffs = gauss_coefficients(fraction)
     l, b = coeffs.period, coeffs.values
     L = chain.n_sites + 1
-
-    _warn_if_not_contained(chain, spec, stacklevel=2)  # from here, as build_gwp_spectral would
-    packet, tail = _packet(chain, spec)
-    if tail > 1e-6:
-        warnings.warn(
-            f"packet has {tail:.2e} of its weight outside the low-energy "
-            "quarter of the band; clone predictions degrade",
-            stacklevel=2,
-        )
-
-    entries = []
-    for r in np.flatnonzero(np.abs(b) >= 1e-10):  # the q nonzero Gauss sums, one clone each
-        center, sign, _ = fold_center(chain, spec.center + 2.0 * L * r / l)
-        entries.append(CloneEntry(center=center, weight=sign * complex(b[r])))
-
+    single = isinstance(spec, GaussianSpec)
+    components = [spec] if single else [GaussianSpec(c, spec.alpha) for c in spec.centers]
+    packets = []
+    for component in components:
+        _warn_if_not_contained(chain, component, stacklevel=2)  # as build_gwp_spectral would
+        packet, tail = _packet(chain, component)
+        if tail > 1e-6:
+            warnings.warn(f"packet has {tail:.2e} of its weight outside the low-energy quarter "
+                          "of the band; clone predictions degrade", stacklevel=2)
+        packets.append(packet)
+    r = np.flatnonzero(np.abs(b) >= 1e-10)  # the q nonzero Gauss sums, one clone each
+    centers = np.array([[c.center] for c in components], dtype=float) + 2.0 * L * r / l
+    centers, reflected = _fold(chain, centers)
+    weights, modes = np.where(reflected, -1.0, 1.0) * b[r], packets[0]
+    if not single:  # not for one packet: a product by 1 and a division by ~1 change its bits
+        scaled = _scaled(spec.weights, _CANCELLED)
+        modes = sum(w * packet for w, packet in zip(scaled, packets))  # no BLAS call
+        norm = np.linalg.norm(modes)
+        if norm == 0:
+            raise ValueError(_CANCELLED)
+        modes, weights = modes / norm, weights * (scaled / norm)[:, None]
     phases = np.tile(_quadratic_phases(fraction), L // l + 1)[1:L]  # n = 1..N
+    entries = tuple(map(CloneEntry, centers.ravel().tolist(), weights.ravel().tolist()))
     return SubPacketPrediction(chain=chain, spec=spec, fraction=fraction,
-                               entries=tuple(entries), state=to_position(chain, packet * phases))
+                               entries=entries, state=to_position(chain, modes * phases))
 
 
 @dataclass(frozen=True)

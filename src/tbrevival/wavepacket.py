@@ -38,6 +38,7 @@ __all__ = [
 SURVIVOR_TOLERANCE = 1e-8
 
 _WIDTH_FACTOR = 2.0 * np.sqrt(np.log(2.0))
+_CANCELLED = "superposition components cancel exactly or are not finite"
 
 
 def _check_alpha(alpha: float) -> None:
@@ -173,11 +174,10 @@ def build_superposition(chain: ChainSpec, spec: SuperpositionSpec) -> np.ndarray
     The weights are scaled exactly by :func:`_scaled` before the sum, and the true
     norm of the sum renormalises it: overlap makes prefactors like 1/sqrt(2) approximate.
     """
-    message = "superposition components cancel exactly or are not finite"
-    weights = _scaled(spec.weights, message)
+    weights = _scaled(spec.weights, _CANCELLED)
     state = sum(weight * build_gwp(chain, GaussianSpec(center=center, alpha=spec.alpha))
                 for center, weight in zip(spec.centers, weights))
-    return _unit(state, message)
+    return _unit(state, _CANCELLED)
 
 
 def packet_overlap(chain: ChainSpec, spec_a: GaussianSpec, spec_b: GaussianSpec) -> float:

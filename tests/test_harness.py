@@ -417,12 +417,7 @@ def test_fuzzed_config_fails_only_cleanly(text):
         cfg = Path(out) / "fuzz.cfg"
         cfg.write_text(text)
         code = cli_main(["sweep" if sweep else "trace", "--config", str(cfg), "--out", out])
-    if parsed is None:
-        assert code == 2
-    elif sweep and parsed.metric != "autocorrelation" and parsed.base.kind != "gaussian":
-        assert code == 2  # the two fidelity metrics need a single (gaussian) packet
-    else:
-        assert code in (0, 1)
+    assert code == 2 if parsed is None else code in (0, 1)
 
 
 # The differential test draws Scenario and SweepSpec fields that a config can
@@ -652,10 +647,6 @@ SUPERPOSITION_BASE = Scenario(sites=200, kind="superposition", center_exprs=("N/
         pytest.param(dict(fraction=Fraction(1, 2**20)), "Gauss table", id="gauss-table"),
         pytest.param(dict(fraction=Fraction(2**60)), r"2\*\*53 t_rev", id="far-fraction"),
         pytest.param(dict(fraction=Fraction(-1, 2)), "numerator >= 0", id="negative-fraction"),
-        pytest.param(dict(base=SUPERPOSITION_BASE), "fractional_fidelity needs a single-packet",
-                     id="superposition-fractional"),
-        pytest.param(dict(base=SUPERPOSITION_BASE, metric="mirror_fidelity"),
-                     "mirror_fidelity needs a single-packet", id="superposition-mirror"),
         # each value as its variable's own key reads it
         pytest.param(dict(values=(8.0, -1.0)), r"half_width -1\.0 is not positive",
                      id="negative-half-width"),
@@ -705,9 +696,6 @@ metric = mirror_fidelity
 @pytest.mark.parametrize(
     "old, new, line, fragment",
     [
-        pytest.param("", "", 10, "mirror_fidelity needs a single-packet", id="metric-line"),
-        pytest.param("metric = mirror_fidelity\n", "", 0,
-                     "fractional_fidelity needs a single-packet", id="default-metric"),
         pytest.param("centers = N/3, 2N/3\n", "centers = N/3, 2N/3\nweights = 1\n", 6,
                      "weights must match", id="weights-line"),
         pytest.param("centers = N/3, 2N/3\n", "centers = N/3, 2N/3\nalpha = 1\n", 0,
@@ -724,11 +712,35 @@ def test_sweep_config_refusals_land_on_the_key_they_blame(
     assert _refused(tmp_path, capsys, ["sweep"], text, 2) == f"config error: {err.value}\n"
 
 
-def test_cli_predict_refuses_a_superposition_on_its_kind_line(tmp_path, capsys):
-    text = SUPERPOSITION_SWEEP.split("[sweep]")[0]
-    assert _refused(tmp_path, capsys, ["predict", "--fraction", "1/2"], text, 2) == (
-        "config error: line 4: this operation needs a single-packet (gaussian) initial, "
-        "not a superposition\n")
+@pytest.mark.parametrize(
+    "old, new, column",
+    [
+        pytest.param("", "", "abs_f_sq", id="mirror-fidelity"),
+        pytest.param("metric = mirror_fidelity\n", "", "abs_ff_sq", id="default-metric"),
+    ],
+)
+def test_superposition_sweeps_a_fidelity_as_its_trace_prints_it(old, new, column):
+    # both fidelity metrics come from any stacked state, as the trace's columns do
+    spec = parse_sweep(SUPERPOSITION_SWEEP.replace(old, new))
+    for value, metric in run_sweep(spec).rows:
+        scenario = replace(spec.base, half_width=value)
+        traced = trace(scenario.chain(), scenario.initial_state(), [Fraction(1, 2)])
+        assert metric == pytest.approx(getattr(traced, column)[0], abs=1e-12)
+
+
+def test_cli_predicts_a_superposition(tmp_path, capsys):
+    # at 1/12 the packets at N/3 and 2N/3 each come back whole: two merged sub-packets
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SUPERPOSITION_SWEEP.split("[sweep]")[0])
+    argv = ["predict", "--config", str(cfg), "--fraction", "1/12", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sub-packets at t = 1/12 of t_rev (centers 67, 134):"
+    rows = [[float(x) for x in line.split()] for line in lines[2:-1]]
+    assert [row[0] for row in rows] == [67.0, 134.0]
+    assert [row[3] for row in rows] == pytest.approx([0.5, 0.5], abs=1e-6)
+    assert lines[-1] == f"wrote {tmp_path / 'run_predicted_p1q12.csv'}"
+    assert len((tmp_path / "run_predicted_p1q12.csv").read_text().splitlines()) == 201
 
 
 def test_sweep_keeps_the_fractional_rule():

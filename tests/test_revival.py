@@ -32,6 +32,7 @@ from tbrevival import (
     to_spectral,
 )
 from tbrevival.harness import revival_fraction
+from tbrevival.revival import _fold
 
 ALPHA24 = 2 * np.sqrt(np.log(2)) / 24
 
@@ -236,12 +237,19 @@ _NUMERATORS = {1: (1, 2), 2: (1, 5), 4: (3, 7), 5: (1, 2), 6: (1, 11), 7: (2, 15
 def _clone_sum(prediction):
     """The predicted state reassembled from its folded clones, as the method of images gives it.
 
-    sum_e w_e sin(k_n c_e) exp(-k_n^2/2 alpha^2) over the entries e, at unit norm.
+    sum_e w_e sin(k_n c_e) exp(-k_n^2/2 alpha^2) / |raw_j| over the entries e, at unit norm:
+    each component j lists its q clones in turn, and raw_j = sin(k_n c_j) exp(-k_n^2/2 alpha^2)
+    is its own packet before normalisation.
     """
-    chain, alpha = prediction.chain, prediction.spec.alpha
+    chain, spec, q = prediction.chain, prediction.spec, prediction.fraction.denominator
     k = mode_wavenumbers(chain)
-    coeff = sum(e.weight * np.sin(k * e.center) for e in prediction.entries)
-    coeff = coeff * np.exp(-(k**2) / (2.0 * alpha**2))
+    gauss = np.exp(-(k**2) / (2.0 * spec.alpha**2))
+    centers = spec.centers if isinstance(spec, SuperpositionSpec) else (spec.center,)
+    coeff = sum(
+        sum(e.weight * np.sin(k * e.center) for e in prediction.entries[j * q : (j + 1) * q])
+        / np.linalg.norm(np.sin(k * center) * gauss)
+        for j, center in enumerate(centers)
+    ) * gauss
     return to_position(chain, coeff / np.linalg.norm(coeff))
 
 
@@ -327,6 +335,84 @@ def test_prediction_at_the_largest_odd_denominator_has_q_clones(chain500, spec50
     state, entries = _per_site_prediction(chain500, spec50, fraction)
     assert pred.state.tobytes() == state.tobytes()
     assert [(e.center, e.weight) for e in pred.entries] == entries
+
+
+FIG4B = SuperpositionSpec.equal_weights([167.0, 334.0], alpha=ALPHA24)  # N/3 and 2N/3
+
+
+@pytest.mark.parametrize("p, q", [(1, 4), (1, 3), (3, 7), (1, 12), (5, 24)])
+def test_superposition_prediction_is_the_weighted_sum_of_its_components(chain500, p, q):
+    # the clone map is linear: a superposition's prediction is its components' predictions
+    # summed with its weights and normalised, and its entries reassemble it
+    fraction = RevivalFraction(p, q)
+    for spec in (FIG4B, SuperpositionSpec((167.0, 334.0, 90.5), (1.0, -0.5j, 2 + 1j), ALPHA24)):
+        pred = predict_state(chain500, spec, fraction)
+        parts = sum(w * predict_state(chain500, GaussianSpec(c, spec.alpha), fraction).state
+                    for c, w in zip(spec.centers, spec.weights))
+        assert np.abs(pred.state - parts / np.linalg.norm(parts)).max() < 1e-12
+        assert len(pred.entries) == q * len(spec.centers)
+        assert np.abs(_clone_sum(pred) - pred.state).max() < 1e-12
+
+
+def test_superposition_prediction_against_exact_dynamics(chain500):
+    # criterion 09's bound on fig4b's two-packet state, which comes back whole at 1/12
+    initial = build_superposition(chain500, FIG4B)
+    for p, q in ((1, 4), (1, 3), (1, 12)):
+        fraction = RevivalFraction(p, q)
+        evolved = evolve_exact(chain500, initial, fraction.time(chain500))
+        pred = predict_state(chain500, FIG4B, fraction)
+        assert abs(inner_product(evolved, pred.state)) ** 2 >= 0.95, (p, q)
+    merged = predict_state(chain500, FIG4B, RevivalFraction(1, 12)).merged()
+    assert [round(c, 6) for c, _ in merged] == [167.0, 334.0]
+    assert [abs(w) ** 2 for _, w in merged] == pytest.approx([0.5, 0.5], abs=1e-12)
+    merged = predict_state(chain500, FIG4B, RevivalFraction(1, 24)).merged()
+    assert [round(c, 6) for c, _ in merged] == [41.75, 208.75, 292.25, 459.25]
+    assert [abs(w) ** 2 for _, w in merged] == pytest.approx([0.25] * 4, abs=1e-12)
+
+
+def test_superposition_prediction_refuses_cancelling_components(chain500):
+    spec = SuperpositionSpec((167.0, 167.0), (1.0, -1.0), ALPHA24)
+    with pytest.raises(ValueError, match="cancel exactly"):
+        predict_state(chain500, spec, RevivalFraction(1, 3))
+
+
+def test_superposition_prediction_warns_per_component(cold_memos):
+    # two narrow packets, one at the edge: one containment warning, two high-mode ones
+    alpha = GaussianSpec.from_half_width(0.0, 2.0).alpha
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        predict_state(ChainSpec(n_sites=40), SuperpositionSpec((2.0, 20.0), (1.0, 1.0), alpha),
+                      RevivalFraction(1, 3))
+    contained = [str(w.message) for w in caught if "not fully contained" in str(w.message)]
+    high = [w for w in caught if "outside the low-energy quarter" in str(w.message)]
+    assert len(contained) == 1 and contained[0].startswith("packet at 2.0 ")
+    assert len(high) == 2 and {w.filename for w in high} == {__file__}
+
+
+@pytest.mark.filterwarnings("ignore:packet")  # packets on a short chain
+def test_the_array_fold_gives_what_scalar_folds_give():
+    # entry for entry and bit for bit, with the sign of zero; the reference is the rule
+    # in Python floats: x mod 2(N+1), then x -> 2(N+1) - x with a sign flip past N+1
+    chain = ChainSpec(n_sites=40)
+    centers = np.array([[-3.5, 0.0, -0.0, 1.0, 41.0, 42.0, 82.0, 83.5],
+                        [-82.0, 164.25, 1e17, -1e-300, 20.5, 61.5, 123.0, -41.0]])
+    folded, reflected = _fold(chain, centers)
+    assert folded.shape == reflected.shape == centers.shape
+    for c, y, refl in zip(centers.ravel(), folded.ravel(), reflected.ravel()):
+        x = float(c) % 82
+        rule = (82 - x, -1.0, True) if x > 41 else (x, 1.0, False)
+        scalar = fold_center(chain, c)
+        assert repr(scalar) == repr(rule) == repr((float(y), scalar[1], bool(refl))), c
+    # the fold signs times the Gauss sums, as each clone's scalar fold gives them: these
+    # fractions have a b_r with one part exactly zero and the other negative, whose zero a
+    # plain negation would give the other sign
+    for center in (7.0, 13.0, 33.5):
+        spec = GaussianSpec.from_half_width(center, 6.0)
+        for p, q in ((13, 11), (35, 11), (9, 13), (4, 15), (16, 15), (29, 19)):
+            fraction = RevivalFraction(p, q)
+            weights = [e.weight for e in predict_state(chain, spec, fraction).entries]
+            scalar = [w for _, w in _per_site_prediction(chain, spec, fraction)[1]]
+            assert np.array(weights).tobytes() == np.array(scalar).tobytes(), (center, p, q)
 
 
 def test_prediction_warns_on_high_mode_weight(chain500):
